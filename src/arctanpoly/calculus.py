@@ -24,6 +24,7 @@ from .highprec import (
     certify_simple_root,
     cot_node,
     mpf_to_fraction,
+    prepare,
     to_mpf,
     workprec,
 )
@@ -145,9 +146,9 @@ def roots(
     if kind not in (SequenceKind.BETA, SequenceKind.ALPHA):
         raise ValueError("root sets are defined for the beta and alpha families")
     p = families.build(kind, n, BuildMethod.RECURRENCE)
-    dp = p.differentiate()
     records = []
     with workprec(precision_bits):
+        p_mpf, dp_mpf = prepare(p), prepare(p.differentiate())
         for k in range(1, n + 1):
             if kind is SequenceKind.BETA:
                 closed = f"cot({k}*pi/{n + 1})"
@@ -155,7 +156,7 @@ def roots(
             else:
                 closed = f"cot({2 * k - 1}*pi/{2 * n})"
                 value = cot_node(2 * k - 1, 2 * n)
-            check = certify_simple_root(p, value, tolerance, derivative=dp)
+            check = certify_simple_root(p_mpf, value, tolerance, derivative=dp_mpf)
             records.append(RootRecord(k, closed, value, check))
     return RootSet(kind, n, tuple(records))
 

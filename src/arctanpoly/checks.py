@@ -45,7 +45,7 @@ class CheckRow:
 
 
 def _row(suite, check, n, passed, detail=""):
-    return CheckRow(suite, check, n, bool(passed), detail if not passed else detail)
+    return CheckRow(suite, check, n, bool(passed), detail)
 
 
 def suite_identities(max_n: int) -> list[CheckRow]:

@@ -21,7 +21,8 @@ import threading
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
+from typing import Callable
 
 from .exact import bernoulli
 from .poly import Polynomial, _canon, _trim
@@ -220,24 +221,8 @@ def _alpha_ze_coeff(n: int, j: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# full-prefix sequence generators
+# full-prefix generators of the uncached routes
 # ---------------------------------------------------------------------------
-
-def _seq_three_term(n_max: int, first: list) -> list[list]:
-    seq = [[1]]
-    if n_max >= 1:
-        seq.append(first)
-    for n in range(1, n_max):
-        seq.append(_three_term_step(seq[n], seq[n - 1]))
-    return seq
-
-
-def _seq_determinant(n_max: int, first_diagonal: list) -> list[list]:
-    # Cofactor expansion of the n x n tridiagonal determinant with diagonal
-    # 2x (first entry `first_diagonal`), superdiagonal -(1+x^2) and
-    # subdiagonal -1: D_k = 2x D_{k-1} - (1+x^2) D_{k-2}, D_0 = 1.
-    return _seq_three_term(n_max, first_diagonal)
-
 
 def _seq_complex_power(n_max: int, part: str, power_shift: int) -> list[list]:
     seq = []
@@ -260,47 +245,7 @@ def _seq_matrix_power(n_max: int, row1: list) -> list[list]:
     return seq
 
 
-def _seq_monic_bernoulli(n_max: int, coeff) -> list[list]:
-    seq = [[Fraction(1)]]
-    for n in range(n_max):
-        nxt = [0] + list(seq[n])
-        for j in range(1, n + 1, 2):  # even offsets vanish with B_{odd>=3} = 0
-            nxt = _radd_scaled(nxt, seq[n - j], -coeff(n, j))
-        seq.append(nxt)
-    return seq
-
-
-def _seq_p_derivative_recurrence(n_max: int) -> list[list]:
-    # P_0 = 1, P_{n+1} = (1+x^2) P_n' - 2(n+1) x P_n
-    seq = [[1]]
-    for n in range(n_max):
-        cur = seq[n]
-        d = [i * cur[i] for i in range(1, len(cur))]
-        nxt = _radd_scaled(list(d), [0, 0] + d, 1)
-        nxt = _radd_scaled(nxt, [0] + cur, -2 * (n + 1))
-        seq.append(nxt)
-    return seq
-
-
-def _seq_beta_derivative_recurrence(n_max: int) -> list[list]:
-    # beta_{n+1} = 2x beta_n - (1+x^2) beta_n' / (n+1)
-    seq = [[1]]
-    for n in range(n_max):
-        cur = seq[n]
-        d = [i * cur[i] for i in range(1, len(cur))]
-        nxt = [0] + [2 * c for c in cur]
-        inv = Fraction(1, n + 1)
-        nxt = _radd_scaled(nxt, d, -inv)
-        nxt = _radd_scaled(nxt, [0, 0] + d, -inv)
-        seq.append(nxt)
-    return seq
-
-
 _SEQUENCE_BUILDERS = {
-    (SequenceKind.BETA, BuildMethod.RECURRENCE): lambda n: _seq_three_term(n, [0, 2]),
-    (SequenceKind.ALPHA, BuildMethod.RECURRENCE): lambda n: _seq_three_term(n, [0, 1]),
-    (SequenceKind.BETA, BuildMethod.DETERMINANT): lambda n: _seq_determinant(n, [0, 2]),
-    (SequenceKind.ALPHA, BuildMethod.DETERMINANT): lambda n: _seq_determinant(n, [0, 1]),
     (SequenceKind.BETA, BuildMethod.EXPLICIT): lambda n: [_beta_explicit(k) for k in range(n + 1)],
     (SequenceKind.ALPHA, BuildMethod.EXPLICIT): lambda n: [_alpha_explicit(k) for k in range(n + 1)],
     (SequenceKind.P, BuildMethod.EXPLICIT): lambda n: [_p_explicit(k) for k in range(n + 1)],
@@ -318,37 +263,161 @@ _SEQUENCE_BUILDERS = {
     ],
     (SequenceKind.BETA, BuildMethod.MATRIX_POWER): lambda n: _seq_matrix_power(n, [0, 2]),
     (SequenceKind.ALPHA, BuildMethod.MATRIX_POWER): lambda n: _seq_matrix_power(n, [0, 1]),
-    (SequenceKind.MONIC_PI, BuildMethod.MONIC_BERNOULLI): lambda n: _seq_monic_bernoulli(
-        n, _ze_bracket
-    ),
-    (SequenceKind.ALPHA, BuildMethod.MONIC_BERNOULLI): lambda n: _seq_monic_bernoulli(
-        n, _alpha_ze_coeff
-    ),
-    (SequenceKind.P, BuildMethod.DERIVATIVE_RECURRENCE): _seq_p_derivative_recurrence,
-    (SequenceKind.BETA, BuildMethod.DERIVATIVE_RECURRENCE): _seq_beta_derivative_recurrence,
-    (SequenceKind.MONIC_PI, BuildMethod.RECURRENCE): lambda n: [
-        [Fraction(c, k + 1) for c in raw]
-        for k, raw in enumerate(_seq_three_term(n, [0, 2]))
-    ],
 }
 
-# Prefix caches for the recurrence-style builders; extension happens under a
-# lock and appends only finished polynomials, so shared reads are safe.
-_CACHED_METHODS = frozenset(
-    {
-        BuildMethod.RECURRENCE,
-        BuildMethod.DETERMINANT,
-        BuildMethod.MONIC_BERNOULLI,
-        BuildMethod.DERIVATIVE_RECURRENCE,
-    }
-)
-_prefix_cache: dict[tuple[SequenceKind, BuildMethod], list[Polynomial]] = {}
+
+# ---------------------------------------------------------------------------
+# cached routes: seed members plus a step to the next member
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Route:
+    """One cached construction: member n+1 from the members before it.
+
+    ``seed`` holds the route's own working form of members 0..len-1,
+    ``step(work, n)`` returns the form of member n+1 from the forms up to
+    member n, and ``wrap(form, n)`` turns the form of member n into the
+    polynomial handed out.  With a ``window`` the step reads only that many
+    trailing forms, and the cache keeps no others.
+    """
+
+    seed: tuple
+    step: Callable[[list, int], object]
+    wrap: Callable[[object, int], Polynomial] = lambda raw, n: _wrap(raw)
+    window: int | None = None
+
+
+def _three_term_next(work: list, n: int) -> list:
+    return _three_term_step(work[-1], work[-2])
+
+
+def _p_derivative_step(work: list, n: int) -> list:
+    # P_{n+1} = (1+x^2) P_n' - 2(n+1) x P_n
+    cur = work[-1]
+    d = [i * cur[i] for i in range(1, len(cur))]
+    nxt = _radd_scaled(list(d), [0, 0] + d, 1)
+    return _radd_scaled(nxt, [0] + cur, -2 * (n + 1))
+
+
+def _beta_derivative_step(work: list, n: int) -> list:
+    # beta_{n+1} = 2x beta_n - (1+x^2) beta_n' / (n+1)
+    cur = work[-1]
+    d = [i * cur[i] for i in range(1, len(cur))]
+    nxt = [0] + [2 * c for c in cur]
+    inv = Fraction(1, n + 1)
+    nxt = _radd_scaled(nxt, d, -inv)
+    return _radd_scaled(nxt, [0, 0] + d, -inv)
+
+
+def _monic_bernoulli_step(coeff):
+    """Step of the monic recurrence p_{n+1} = x p_n - sum_j coeff(n, j) p_{n-j}.
+
+    Members are kept fraction-free, as (numerators, denominator).  A step
+    scales every term to the lcm of its denominators, accumulates in ints and
+    divides the content gcd out once; only odd offsets j contribute, since
+    the even ones carry B_{odd>=3} = 0.
+    """
+
+    def step(work: list, n: int) -> tuple[list, int]:
+        cur, cur_den = work[n]
+        terms = []
+        den = cur_den
+        for j in range(1, n + 1, 2):
+            c = coeff(n, j)
+            nums, nums_den = work[n - j]
+            term_den = c.denominator * nums_den
+            terms.append((c.numerator, term_den, nums))
+            den = lcm(den, term_den)
+        scale = den // cur_den
+        out = [0] + [scale * v for v in cur]
+        for num, term_den, nums in terms:
+            factor = num * (den // term_den)
+            for i, v in enumerate(nums):
+                if v:
+                    out[i] -= factor * v
+        g = gcd(den, *out)
+        if g != 1:
+            out = [v // g for v in out]
+            den //= g
+        return out, den
+
+    return step
+
+
+def _wrap_fraction_free(form: tuple[list, int], n: int) -> Polynomial:
+    nums, den = form
+    return _wrap(nums if den == 1 else [Fraction(v, den) for v in nums])
+
+
+_ROUTES: dict[tuple[SequenceKind, BuildMethod], _Route] = {
+    (SequenceKind.BETA, BuildMethod.RECURRENCE): _Route(([1], [0, 2]), _three_term_next, window=2),
+    (SequenceKind.ALPHA, BuildMethod.RECURRENCE): _Route(([1], [0, 1]), _three_term_next, window=2),
+    # Cofactor expansion of the n x n tridiagonal determinant with diagonal
+    # 2x (first entry 2x for beta, x for alpha), superdiagonal -(1+x^2) and
+    # subdiagonal -1: D_k = 2x D_{k-1} - (1+x^2) D_{k-2}, D_0 = 1.
+    (SequenceKind.BETA, BuildMethod.DETERMINANT): _Route(([1], [0, 2]), _three_term_next, window=2),
+    (SequenceKind.ALPHA, BuildMethod.DETERMINANT): _Route(([1], [0, 1]), _three_term_next, window=2),
+    # pi_n as the quotient beta_n/(n+1) on top of the beta recurrence
+    (SequenceKind.MONIC_PI, BuildMethod.RECURRENCE): _Route(
+        ([1], [0, 2]),
+        _three_term_next,
+        lambda raw, n: _wrap([Fraction(c, n + 1) for c in raw]),
+        window=2,
+    ),
+    (SequenceKind.MONIC_PI, BuildMethod.MONIC_BERNOULLI): _Route(
+        (([1], 1),), _monic_bernoulli_step(_ze_bracket), _wrap_fraction_free
+    ),
+    (SequenceKind.ALPHA, BuildMethod.MONIC_BERNOULLI): _Route(
+        (([1], 1),), _monic_bernoulli_step(_alpha_ze_coeff), _wrap_fraction_free
+    ),
+    (SequenceKind.P, BuildMethod.DERIVATIVE_RECURRENCE): _Route(
+        ([1],), _p_derivative_step, window=1
+    ),
+    (SequenceKind.BETA, BuildMethod.DERIVATIVE_RECURRENCE): _Route(
+        ([1],), _beta_derivative_step, window=1
+    ),
+}
+
+
+class _Prefix:
+    """Cached members 0..len-1 of one route and the working forms its step reads."""
+
+    __slots__ = ("members", "work")
+
+    def __init__(self, route: _Route):
+        self.work = list(route.seed)
+        self.members = [route.wrap(form, n) for n, form in enumerate(self.work)]
+
+
+# Prefix caches of the routes above.  A cache only grows: under the lock,
+# build_sequence steps from the last cached member and appends each finished
+# polynomial, and it never rebuilds a member it already has, so readers
+# outside the lock can slice a shared list safely.
+_prefix_cache: dict[tuple[SequenceKind, BuildMethod], _Prefix] = {}
 _prefix_lock = threading.Lock()
 
 
 def _check_pair(kind: SequenceKind, method: BuildMethod) -> None:
     if method not in SUPPORTED_METHODS[kind]:
         raise UnsupportedPairError(f"no {method.value} construction for kind {kind.value}")
+
+
+def _extend(key: tuple[SequenceKind, BuildMethod], n_max: int) -> _Prefix:
+    """The cached prefix of ``key``, grown to hold member n_max (lock held)."""
+    route = _ROUTES[key]
+    prefix = _prefix_cache.get(key)
+    if prefix is None:
+        prefix = _prefix_cache[key] = _Prefix(route)
+    members, work = prefix.members, prefix.work
+    while len(members) <= n_max:
+        n = len(members) - 1
+        form = route.step(work, n)
+        member = route.wrap(form, n + 1)
+        work.append(form)
+        if route.window is not None:
+            del work[: -route.window]
+        members.append(member)
+    return prefix
 
 
 def build_sequence(
@@ -359,26 +428,22 @@ def build_sequence(
         raise ValueError("n_max must be non-negative")
     method = method or DEFAULT_METHOD[kind]
     _check_pair(kind, method)
-    if method not in _CACHED_METHODS:
-        return [_wrap(raw) for raw in _SEQUENCE_BUILDERS[(kind, method)](n_max)]
     key = (kind, method)
-    cached = _prefix_cache.get(key)
-    if cached is None or len(cached) <= n_max:
+    if key not in _ROUTES:
+        return [_wrap(raw) for raw in _SEQUENCE_BUILDERS[key](n_max)]
+    prefix = _prefix_cache.get(key)
+    if prefix is None or len(prefix.members) <= n_max:
         with _prefix_lock:
-            cached = _prefix_cache.get(key)
-            if cached is None or len(cached) <= n_max:
-                _prefix_cache[key] = [
-                    _wrap(raw) for raw in _SEQUENCE_BUILDERS[key](n_max)
-                ]
-            cached = _prefix_cache[key]
-    return cached[: n_max + 1]
+            prefix = _extend(key, n_max)
+    return prefix.members[: n_max + 1]
 
 
 def build(kind: SequenceKind, n: int, method: BuildMethod | None = None) -> Polynomial:
     """Exact member n of the family by the requested construction.
 
     Single-shot complex- and matrix-power requests use binary powering; the
-    recurrence-style methods materialize (and cache) the prefix 0..n.
+    recurrence-style methods read member n from the shared prefix cache,
+    which steps forward from its last cached member when n is new.
     """
     if n < 0:
         raise ValueError("n must be non-negative")

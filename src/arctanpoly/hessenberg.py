@@ -22,7 +22,7 @@ from math import comb
 from . import families
 from .exact import bernoulli, format_rational
 from .families import BuildMethod, SequenceKind
-from .highprec import DEFAULT_PRECISION, certify_simple_root, cot_node, workprec
+from .highprec import DEFAULT_PRECISION, certify_simple_root, cot_node, prepare, workprec
 from .poly import Polynomial
 
 
@@ -108,10 +108,10 @@ def eigen_check(
     """True iff every cot(k*pi/(n+1)) certifies as a simple eigenvalue,
     i.e. a simple root of charpoly(H_n)."""
     p = charpoly(build_H(n))
-    dp = p.differentiate()
     with workprec(precision_bits):
+        p_mpf, dp_mpf = prepare(p), prepare(p.differentiate())
         for k in range(1, n + 1):
-            check = certify_simple_root(p, cot_node(k, n + 1), tolerance, derivative=dp)
+            check = certify_simple_root(p_mpf, cot_node(k, n + 1), tolerance, derivative=dp_mpf)
             if not check.certified:
                 return False
     return True

@@ -3,6 +3,13 @@
 Everything irrational in this package (cot nodes, reference arctan values,
 root certificates) runs through here, under explicit working precisions so
 the exact-arithmetic modules never touch machine floats.
+
+Root certification evaluates one polynomial at many nodes.  ``prepare``
+rounds its exact coefficients to mpf once, at the working precision, and
+``eval_poly`` then runs Horner on the raw mpf values with the same
+``mpf_mul``/``mpf_add`` calls, precision and rounding the mpf operators use,
+so a prepared polynomial evaluates to exactly the bits the per-coefficient
+conversion gives.
 """
 from __future__ import annotations
 
@@ -10,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
+from mpmath.libmp import fzero, mpf_add, mpf_mul, round_nearest
 
 DEFAULT_PRECISION = 128  # bits
 
@@ -31,12 +39,48 @@ def mpf_to_fraction(value) -> Fraction:
     return Fraction(signed) * Fraction(2) ** exp
 
 
+@dataclass(frozen=True)
+class PreparedPoly:
+    """An exact polynomial with its coefficients rounded to mpf once.
+
+    ``coeffs`` holds raw mpf tuples from the leading coefficient down, the
+    order Horner consumes them; ``prec`` is the precision they were rounded
+    at, and the only one ``eval_poly`` accepts them at.
+    """
+
+    prec: int
+    coeffs: tuple
+
+
+def prepare(poly) -> PreparedPoly:
+    """Round the coefficients of an exact polynomial under the current precision.
+
+    Zero coefficients stay exact zeros without a conversion.
+    """
+    coeffs = tuple(to_mpf(c)._mpf_ if c else fzero for c in reversed(poly.coefficients))
+    return PreparedPoly(mpmath.mp.prec, coeffs)
+
+
 def eval_poly(poly, t):
-    """Horner evaluation of an exact polynomial at an mpf point."""
-    acc = mpmath.mpf(0)
-    for c in reversed(poly.coefficients):
-        acc = acc * t + to_mpf(Fraction(c))
-    return acc
+    """Horner evaluation at an mpf point under the current precision.
+
+    ``poly`` is an exact polynomial, prepared here on every call, or a
+    ``PreparedPoly`` from ``prepare`` at the same precision.  Adding an exact
+    zero to an already rounded value leaves it unchanged, so zero
+    coefficients skip the add.
+    """
+    if not isinstance(poly, PreparedPoly):
+        poly = prepare(poly)
+    prec = mpmath.mp.prec
+    if poly.prec != prec:
+        raise ValueError(f"polynomial prepared at {poly.prec} bits, evaluated at {prec}")
+    x = (t if isinstance(t, mpmath.mpf) else mpmath.mpf(t))._mpf_
+    acc = fzero
+    for c in poly.coeffs:
+        acc = mpf_mul(acc, x, prec, round_nearest)
+        if c is not fzero:
+            acc = mpf_add(acc, c, prec, round_nearest)
+    return mpmath.mp.make_mpf(acc)
 
 
 def cot_node(k: int, m: int):
@@ -72,7 +116,14 @@ def certify_simple_root(
     tolerance: float = 1e-9,
     derivative=None,
 ) -> RootCheck:
-    """Certify ``value`` (an mpf under the current precision) as a simple root."""
+    """Certify ``value`` (an mpf under the current precision) as a simple root.
+
+    ``poly`` and ``derivative`` may be exact polynomials or, when one
+    polynomial is certified at many nodes, both ``PreparedPoly`` values made
+    by ``prepare`` at the current precision; those skip the coefficient
+    conversion and give the same certificate.  A prepared ``poly`` needs its
+    prepared ``derivative``.
+    """
     dp = derivative if derivative is not None else poly.differentiate()
     residual = abs(eval_poly(poly, value))
     slope = abs(eval_poly(dp, value))

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from math import comb
+from math import comb, isfinite
 
 import mpmath
 
@@ -167,10 +167,11 @@ def pi_approx(kind: SeriesKind, tolerance: float) -> tuple[float, int]:
     """Approximate pi as 4 * (series at x = 1), stopping on a certified bound.
 
     Returns (value, terms_used); |value - pi| is below ``tolerance`` by the
-    tail bounds documented in _tail_bound_at_one.
+    tail bounds documented in _tail_bound_at_one.  A tolerance that is not a
+    finite positive number raises ValueError.
     """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    if not (isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be a finite positive number, got {tolerance}")
     one = Fraction(1)
     with workprec(ERROR_TRACKING_BITS):
         stream = _term_stream(kind, one)

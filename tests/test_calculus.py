@@ -15,8 +15,15 @@ from arctanpoly.calculus import (
     roots,
     sign_changes_between_roots,
 )
-from arctanpoly.families import SequenceKind
-from arctanpoly.highprec import to_mpf, workprec
+from arctanpoly.families import BuildMethod, SequenceKind, build
+from arctanpoly.highprec import (
+    RootCheck,
+    cot_node,
+    eval_poly,
+    prepare,
+    to_mpf,
+    workprec,
+)
 from arctanpoly.poly import Polynomial
 
 
@@ -126,6 +133,53 @@ def test_roots_metadata():
 def test_roots_certify_up_to_50(kind):
     for n in (1, 2, 7, 20, 35, 50):
         assert roots(kind, n).all_certified
+
+
+def _reference_horner(poly, t):
+    # every coefficient converted again at every point, with the mpf operators
+    acc = mpmath.mpf(0)
+    for c in reversed(poly.coefficients):
+        acc = acc * t + to_mpf(Fraction(c))
+    return acc
+
+
+def _reference_check(poly, t, tolerance=1e-9):
+    residual = abs(_reference_horner(poly, t))
+    slope = abs(_reference_horner(poly.differentiate(), t))
+    ok = bool(residual <= tolerance * max(1, slope) and slope > tolerance)
+    return RootCheck(float(residual), float(slope), ok)
+
+
+@pytest.mark.parametrize("precision", [1, 53, 128])
+@pytest.mark.parametrize("kind", [SequenceKind.BETA, SequenceKind.ALPHA])
+def test_prepared_roots_match_per_call_conversion(kind, precision):
+    for n in list(range(1, 61)) + [120]:
+        rs = roots(kind, n, precision)
+        p = build(kind, n, BuildMethod.RECURRENCE)
+        with workprec(precision):
+            for record in rs.roots:
+                k = record.index
+                node = cot_node(k, n + 1) if kind is SequenceKind.BETA else cot_node(2 * k - 1, 2 * n)
+                assert record.value._mpf_ == node._mpf_
+                assert record.check == _reference_check(p, node), (n, k)
+
+
+def test_eval_poly_prepared_and_exact_agree_bit_for_bit():
+    p = build(SequenceKind.BETA, 30)
+    with workprec(53):
+        t = cot_node(3, 31)
+        expected = _reference_horner(p, t)._mpf_
+        assert eval_poly(p, t)._mpf_ == expected
+        assert eval_poly(prepare(p), t)._mpf_ == expected
+
+
+def test_eval_poly_rejects_a_precision_change():
+    p = build(SequenceKind.ALPHA, 5)
+    with workprec(53):
+        prepared = prepare(p)
+    with workprec(128):
+        with pytest.raises(ValueError):
+            eval_poly(prepared, mpmath.mpf(1))
 
 
 @pytest.mark.parametrize("kind", [SequenceKind.BETA, SequenceKind.ALPHA])

@@ -138,6 +138,15 @@ def test_pi_command(capsys):
     assert "terms" in out
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+def test_pi_rejects_non_finite_or_zero_tolerance(capsys, tol):
+    code, out, err = run_cli(capsys, "pi", "--method", "beta", "--tol", tol)
+    assert code == 2
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 def test_roots_command(capsys):
     code, out, _ = run_cli(capsys, "roots", "--kind", "beta", "--n", "2")
     assert code == 0

@@ -1,11 +1,13 @@
 """Family builders, cross-method agreement, and generating functions."""
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
-from arctanpoly.exact import GaussianInt, gaussian_pow
+import arctanpoly.families as fam
+from arctanpoly.exact import GaussianInt, bernoulli, gaussian_pow
 from arctanpoly.families import (
+    SUPPORTED_METHODS,
     BuildMethod,
     SequenceKind,
     UnsupportedPairError,
@@ -214,8 +216,101 @@ def test_bernoulli_index_one_never_consumed(monkeypatch):
 
     monkeypatch.setattr(fam, "bernoulli", spy)
     monkeypatch.setattr(hes, "bernoulli", spy)
-    fam._SEQUENCE_BUILDERS[(SequenceKind.MONIC_PI, BuildMethod.MONIC_BERNOULLI)](15)
-    fam._SEQUENCE_BUILDERS[(SequenceKind.ALPHA, BuildMethod.MONIC_BERNOULLI)](15)
+    monkeypatch.setattr(fam, "_prefix_cache", {})  # force the routes to run
+    build_sequence(SequenceKind.MONIC_PI, 15, BuildMethod.MONIC_BERNOULLI)
+    build_sequence(SequenceKind.ALPHA, 15, BuildMethod.MONIC_BERNOULLI)
     hes.build_H(10)
     assert requested and 1 not in requested
     assert all(m % 2 == 0 or m >= 3 for m in requested)
+
+
+def _fraction_monic_bernoulli(n_max, coeff):
+    # the monic recurrence p_{n+1} = x p_n - sum_j coeff(n, j) p_{n-j}, over Fractions
+    seq = [[Fraction(1)]]
+    for n in range(n_max):
+        nxt = [Fraction(0)] + list(seq[n])
+        for j in range(1, n + 1):
+            c = coeff(n, j)
+            for i, v in enumerate(seq[n - j]):
+                nxt[i] -= c * v
+        seq.append(nxt)
+    return [Polynomial(raw) for raw in seq]
+
+
+def _pi_bracket(n, j):
+    return Fraction(2 ** (j + 1), j + 1) * comb(n, j) * abs(bernoulli(j + 1))
+
+
+def _alpha_bracket(n, j):
+    p = 2 ** (j + 1)
+    return Fraction(p * (p - 1), j + 1) * comb(n, j) * abs(bernoulli(j + 1))
+
+
+@pytest.mark.parametrize(
+    "kind, coeff", [(SequenceKind.MONIC_PI, _pi_bracket), (SequenceKind.ALPHA, _alpha_bracket)]
+)
+def test_fraction_free_bernoulli_matches_fraction_loop(kind, coeff):
+    expected = _fraction_monic_bernoulli(80, coeff)
+    got = build_sequence(kind, 80, BuildMethod.MONIC_BERNOULLI)
+    assert got == expected
+    for a, b in zip(got, expected):
+        assert [type(c) for c in a.coefficients] == [type(c) for c in b.coefficients]
+
+
+CACHED_METHODS = {
+    BuildMethod.RECURRENCE,
+    BuildMethod.DETERMINANT,
+    BuildMethod.MONIC_BERNOULLI,
+    BuildMethod.DERIVATIVE_RECURRENCE,
+}
+CACHED_PAIRS = [
+    (kind, method)
+    for kind in SequenceKind
+    for method in BuildMethod
+    if method in SUPPORTED_METHODS[kind] and method in CACHED_METHODS
+]
+
+
+@pytest.mark.parametrize("kind, method", CACHED_PAIRS)
+def test_prefix_cache_only_appends(monkeypatch, kind, method):
+    monkeypatch.setattr(fam, "_prefix_cache", {})
+    cold = build_sequence(kind, 45, method)
+    monkeypatch.setattr(fam, "_prefix_cache", {})
+    previous = []
+    for n in (0, 1, 3, 4, 9, 10, 17, 30, 31, 45):
+        current = build_sequence(kind, n, method)
+        assert current == cold[: n + 1]
+        assert all(a is b for a, b in zip(previous, current))
+        previous = current
+    assert build(kind, 45, method) is previous[45]
+
+
+@pytest.mark.parametrize(
+    "kind, method",
+    [
+        (SequenceKind.BETA, BuildMethod.RECURRENCE),
+        (SequenceKind.MONIC_PI, BuildMethod.MONIC_BERNOULLI),
+        (SequenceKind.P, BuildMethod.DERIVATIVE_RECURRENCE),
+    ],
+)
+def test_concurrent_prefix_growth_is_consistent(monkeypatch, kind, method):
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    monkeypatch.setattr(fam, "_prefix_cache", {})
+    expected = build_sequence(kind, 60, method)
+    monkeypatch.setattr(fam, "_prefix_cache", {})
+    sizes = [7, 60, 0, 33, 12, 59, 21, 48, 2, 40, 60, 15, 27, 5, 54, 38]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside a step too
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(build_sequence, kind, n, method) for n in sizes]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    final = build_sequence(kind, 60, method)
+    assert final == expected
+    for n, got in zip(sizes, results):
+        assert len(got) == n + 1
+        assert all(a is b for a, b in zip(got, final))

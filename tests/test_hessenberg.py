@@ -2,9 +2,19 @@
 import json
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from arctanpoly.families import BuildMethod, SequenceKind, build
+from arctanpoly.highprec import (
+    RootCheck,
+    certify_simple_root,
+    cot_node,
+    eval_poly,
+    prepare,
+    to_mpf,
+    workprec,
+)
 from arctanpoly.hessenberg import (
     RationalMatrix,
     bracket,
@@ -111,6 +121,36 @@ def test_eigen_check_examples():
     assert eigen_check(1)
     assert eigen_check(2)
     assert eigen_check(8)
+
+
+def _reference_horner(poly, t):
+    # every coefficient converted again at every point, with the mpf operators
+    acc = mpmath.mpf(0)
+    for c in reversed(poly.coefficients):
+        acc = acc * t + to_mpf(Fraction(c))
+    return acc
+
+
+@pytest.mark.parametrize("precision", [1, 53, 128])
+def test_prepared_charpoly_matches_per_call_conversion(precision):
+    # charpoly coefficients are Fractions, so each is rounded twice (mpf(num)/den)
+    for n in range(1, 13):
+        p = charpoly(build_H(n))
+        dp = p.differentiate()
+        with workprec(precision):
+            p_mpf, dp_mpf = prepare(p), prepare(dp)
+            certified = []
+            for k in range(1, n + 1):
+                node = cot_node(k, n + 1)
+                value = _reference_horner(p, node)
+                assert eval_poly(p_mpf, node)._mpf_ == value._mpf_
+                residual = abs(value)
+                slope = abs(_reference_horner(dp, node))
+                ok = bool(residual <= 1e-9 * max(1, slope) and slope > 1e-9)
+                expected = RootCheck(float(residual), float(slope), ok)
+                assert certify_simple_root(p_mpf, node, derivative=dp_mpf) == expected
+                certified.append(ok)
+        assert eigen_check(n, precision) == all(certified)
 
 
 def test_matrix_json_round_trip():
