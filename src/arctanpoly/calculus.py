@@ -22,6 +22,7 @@ from .highprec import (
     DEFAULT_PRECISION,
     RootCheck,
     certify_simple_root,
+    check_precision,
     cot_node,
     mpf_to_fraction,
     prepare,
@@ -139,8 +140,10 @@ def roots(
     """All n real zeros in closed form, certified against the exact polynomial.
 
     beta_n vanishes at cot(k*pi/(n+1)) and alpha_n at cot((2k-1)*pi/(2n)),
-    k = 1..n; both lists are strictly decreasing in k.
+    k = 1..n; both lists are strictly decreasing in k.  A precision below
+    one bit raises ValueError.
     """
+    check_precision(precision_bits)
     if n < 1:
         raise ValueError("n must be positive")
     if kind not in (SequenceKind.BETA, SequenceKind.ALPHA):
@@ -167,7 +170,8 @@ def sign_changes_between_roots(kind: SequenceKind, n: int, precision_bits: int =
     Converts each numeric root to the exact rational it denotes at working
     precision, evaluates the polynomial exactly at midpoints between
     consecutive roots (and outside the extremes), and requires strictly
-    alternating signs, which pins one simple real root per interval.
+    alternating signs, which pins one simple real root per interval.  A
+    precision below one bit raises ValueError, as in ``roots``.
     """
     rs = roots(kind, n, precision_bits)
     points = [mpf_to_fraction(r.value) for r in rs.roots]  # decreasing

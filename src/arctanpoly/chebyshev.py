@@ -15,7 +15,7 @@ from enum import Enum
 
 from . import families
 from .families import BuildMethod, SequenceKind
-from .highprec import DEFAULT_PRECISION, cot_node, eval_poly, workprec
+from .highprec import DEFAULT_PRECISION, check_precision, cot_node, eval_poly, workprec
 from .poly import Polynomial, _trim, _canon
 
 
@@ -112,6 +112,7 @@ def trig_spot_check(
     """
     if not 1 <= k <= n:
         raise ValueError("k must lie in 1..n")
+    check_precision(precision_bits)
     p = families.build(SequenceKind.BETA, n, BuildMethod.RECURRENCE)
     dp = p.differentiate()
     with workprec(precision_bits):

@@ -272,6 +272,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Exact results can run past CPython's 4300-digit int/str conversion
+    # limit; lift it while a command runs (input literals stay bounded by
+    # parse_rational) and restore it for callers running the CLI in-process.
+    saved = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if saved is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
     except (
@@ -282,6 +288,9 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
 
 
 if __name__ == "__main__":

@@ -16,14 +16,24 @@ Rational = Fraction
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
 
+# CPython's default limit on int/str conversion; longer literals are refused
+# so that input stays bounded where the limit is lifted for output.
+MAX_LITERAL_DIGITS = 4300
+
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or an integer literal into an exact Fraction.
 
     Decimal notation is rejected on purpose: command-line values must never
-    round-trip through floats.
+    round-trip through floats.  Literals of more than MAX_LITERAL_DIGITS
+    digits are rejected too.
     """
     text = text.strip()
+    digits = sum(map(str.isdigit, text))
+    if digits > MAX_LITERAL_DIGITS:
+        raise ValueError(
+            f"rational literal has {digits} digits, more than {MAX_LITERAL_DIGITS}"
+        )
     if not _RATIONAL_RE.match(text):
         raise ValueError(f"not a rational literal: {text!r} (expected p or p/q)")
     return Fraction(text)

@@ -22,10 +22,11 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
+from operator import add, neg, sub
 from typing import Callable
 
 from .exact import bernoulli
-from .poly import Polynomial, _canon, _trim
+from .poly import Polynomial, _canon, _row_product, _trim
 
 
 class SequenceKind(Enum):
@@ -81,26 +82,17 @@ def _wrap(raw: list) -> Polynomial:
     return Polynomial._raw(_trim([_canon(c) for c in raw]))
 
 
+def _wrap_int(raw: list, n: int) -> Polynomial:
+    # all-int forms are canonical already; the leading coefficient of a
+    # three-term member is nonzero, so the trim never shortens the form
+    return Polynomial._raw(_trim(raw))
+
+
 def _three_term_step(cur: list, prev: list) -> list:
-    # next = 2x*cur - (1+x^2)*prev
-    out = [0] * (len(cur) + 1)
-    for i, c in enumerate(cur):
-        out[i + 1] += 2 * c
-    for i, c in enumerate(prev):
-        out[i] -= c
-        out[i + 2] -= c
-    return out
-
-
-def _rmul(a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        if c:
-            for j, d in enumerate(b):
-                out[i + j] += c * d
-    return out
+    # next = 2x*cur - (1+x^2)*prev, for len(prev) == len(cur) - 1; the three
+    # shifted rows all have len(cur) + 1 entries, so the result keeps the
+    # invariant for the next step
+    return list(map(sub, map(sub, [0, *map(add, cur, cur)], prev + [0, 0]), [0, 0] + prev))
 
 
 def _radd_scaled(acc: list, term: list, factor) -> list:
@@ -116,26 +108,41 @@ def _radd_scaled(acc: list, term: list, factor) -> list:
 # per-n builders
 # ---------------------------------------------------------------------------
 
-def _beta_explicit(n: int) -> list:
+# The explicit builders place signed binomial rows on every other
+# coefficient, from x^n down.  Each binomial comes from the one before it by
+# the exact integer ratio C(N, m+2) = C(N, m) (N-m)(N-m-1) / ((m+1)(m+2)),
+# with any constant factor carried in the running value, so a coefficient
+# costs one multiply and one exact division by small ints rather than a
+# binomial (or a big product) from scratch.
+
+def _signed_row(n: int, top: int, m: int, scale: int = 1) -> list:
+    """n+1 coefficients: (-1)^k scale C(top, m+2k) on x^(n-2k), k = 0..n//2, else 0."""
     out = [0] * (n + 1)
-    for k in range(n // 2 + 1):
-        out[n - 2 * k] = (-1) ** k * comb(n + 1, 2 * k + 1)
+    row = []
+    b = scale * comb(top, m)
+    for _ in range(n // 2):
+        row.append(b)
+        b = b * (top - m) * (top - m - 1) // ((m + 1) * (m + 2))
+        m += 2
+    row.append(b)
+    row[1::2] = map(neg, row[1::2])
+    out[n::-2] = row
     return out
+
+
+def _beta_explicit(n: int) -> list:
+    # beta_n = sum_k (-1)^k C(n+1, 2k+1) x^(n-2k)
+    return _signed_row(n, n + 1, 1)
 
 
 def _alpha_explicit(n: int) -> list:
-    out = [0] * (n + 1)
-    for k in range(n // 2 + 1):
-        out[n - 2 * k] = (-1) ** k * comb(n, 2 * k)
-    return out
+    # alpha_n = sum_k (-1)^k C(n, 2k) x^(n-2k)
+    return _signed_row(n, n, 0)
 
 
 def _p_explicit(n: int) -> list:
-    fac = factorial(n)
-    out = [0] * (n + 1)
-    for k in range(n // 2 + 1):
-        out[n - 2 * k] = (-1) ** (n + k) * fac * comb(n + 1, 2 * k + 1)
-    return out
+    # P_n = (-1)^n n! beta_n coefficientwise, i.e. n! beta_n(-x)
+    return _signed_row(n, n + 1, 1, (-1) ** n * factorial(n))
 
 
 def _beta_hypergeometric(n: int) -> list:
@@ -168,15 +175,15 @@ def _complex_pair_pow(m: int) -> tuple[list, list]:
             ra, ia = result
             rb, ib = square
             result = (
-                _radd_scaled(_rmul(ra, rb), _rmul(ia, ib), -1),
-                _radd_scaled(_rmul(ra, ib), _rmul(ia, rb), 1),
+                _radd_scaled(_row_product(ra, rb), _row_product(ia, ib), -1),
+                _radd_scaled(_row_product(ra, ib), _row_product(ia, rb), 1),
             )
         m >>= 1
         if m:
             rb, ib = square
             square = (
-                _radd_scaled(_rmul(rb, rb), _rmul(ib, ib), -1),
-                _radd_scaled(_rmul(rb, ib), _rmul(ib, rb), 1),
+                _radd_scaled(_row_product(rb, rb), _row_product(ib, ib), -1),
+                _radd_scaled(_row_product(rb, ib), _row_product(ib, rb), 1),
             )
     return result
 
@@ -188,8 +195,14 @@ def _m2mul(p, q):
     (a, b), (c, d) = p
     (e, f), (g, h) = q
     return (
-        (_radd_scaled(_rmul(a, e), _rmul(b, g), 1), _radd_scaled(_rmul(a, f), _rmul(b, h), 1)),
-        (_radd_scaled(_rmul(c, e), _rmul(d, g), 1), _radd_scaled(_rmul(c, f), _rmul(d, h), 1)),
+        (
+            _radd_scaled(_row_product(a, e), _row_product(b, g), 1),
+            _radd_scaled(_row_product(a, f), _row_product(b, h), 1),
+        ),
+        (
+            _radd_scaled(_row_product(c, e), _row_product(d, g), 1),
+            _radd_scaled(_row_product(c, f), _row_product(d, h), 1),
+        ),
     )
 
 
@@ -208,7 +221,7 @@ def _matrix_pow(n: int):
 def _family_from_matrix_power(n: int, row1) -> list:
     # (1, r(x)) . M^n . (1, 0)^T  =  M^n[0][0] + r(x) * M^n[1][0]
     mp = _matrix_pow(n)
-    return _radd_scaled(list(mp[0][0]), _rmul(row1, mp[1][0]), 1)
+    return _radd_scaled(list(mp[0][0]), _row_product(row1, mp[1][0]), 1)
 
 
 def _ze_bracket(n: int, j: int) -> Fraction:
@@ -240,7 +253,7 @@ def _seq_matrix_power(n_max: int, row1: list) -> list[list]:
     seq = []
     mp = (([1], []), ([], [1]))
     for _ in range(n_max + 1):
-        seq.append(_radd_scaled(list(mp[0][0]), _rmul(row1, mp[1][0]), 1))
+        seq.append(_radd_scaled(list(mp[0][0]), _row_product(row1, mp[1][0]), 1))
         mp = _m2mul(mp, _M_STEP)
     return seq
 
@@ -278,7 +291,9 @@ class _Route:
     ``step(work, n)`` returns the form of member n+1 from the forms up to
     member n, and ``wrap(form, n)`` turns the form of member n into the
     polynomial handed out.  With a ``window`` the step reads only that many
-    trailing forms, and the cache keeps no others.
+    trailing forms, and the cache keeps no others.  The default wrap
+    canonicalizes every coefficient; routes whose forms are all ints use
+    ``_wrap_int``, which only trims.
     """
 
     seed: tuple
@@ -350,13 +365,21 @@ def _wrap_fraction_free(form: tuple[list, int], n: int) -> Polynomial:
 
 
 _ROUTES: dict[tuple[SequenceKind, BuildMethod], _Route] = {
-    (SequenceKind.BETA, BuildMethod.RECURRENCE): _Route(([1], [0, 2]), _three_term_next, window=2),
-    (SequenceKind.ALPHA, BuildMethod.RECURRENCE): _Route(([1], [0, 1]), _three_term_next, window=2),
+    (SequenceKind.BETA, BuildMethod.RECURRENCE): _Route(
+        ([1], [0, 2]), _three_term_next, _wrap_int, window=2
+    ),
+    (SequenceKind.ALPHA, BuildMethod.RECURRENCE): _Route(
+        ([1], [0, 1]), _three_term_next, _wrap_int, window=2
+    ),
     # Cofactor expansion of the n x n tridiagonal determinant with diagonal
     # 2x (first entry 2x for beta, x for alpha), superdiagonal -(1+x^2) and
     # subdiagonal -1: D_k = 2x D_{k-1} - (1+x^2) D_{k-2}, D_0 = 1.
-    (SequenceKind.BETA, BuildMethod.DETERMINANT): _Route(([1], [0, 2]), _three_term_next, window=2),
-    (SequenceKind.ALPHA, BuildMethod.DETERMINANT): _Route(([1], [0, 1]), _three_term_next, window=2),
+    (SequenceKind.BETA, BuildMethod.DETERMINANT): _Route(
+        ([1], [0, 2]), _three_term_next, _wrap_int, window=2
+    ),
+    (SequenceKind.ALPHA, BuildMethod.DETERMINANT): _Route(
+        ([1], [0, 1]), _three_term_next, _wrap_int, window=2
+    ),
     # pi_n as the quotient beta_n/(n+1) on top of the beta recurrence
     (SequenceKind.MONIC_PI, BuildMethod.RECURRENCE): _Route(
         ([1], [0, 2]),

@@ -22,7 +22,14 @@ from math import comb
 from . import families
 from .exact import bernoulli, format_rational
 from .families import BuildMethod, SequenceKind
-from .highprec import DEFAULT_PRECISION, certify_simple_root, cot_node, prepare, workprec
+from .highprec import (
+    DEFAULT_PRECISION,
+    certify_simple_root,
+    check_precision,
+    cot_node,
+    prepare,
+    workprec,
+)
 from .poly import Polynomial
 
 
@@ -107,6 +114,7 @@ def eigen_check(
 ) -> bool:
     """True iff every cot(k*pi/(n+1)) certifies as a simple eigenvalue,
     i.e. a simple root of charpoly(H_n)."""
+    check_precision(precision_bits)
     p = charpoly(build_H(n))
     with workprec(precision_bits):
         p_mpf, dp_mpf = prepare(p), prepare(p.differentiate())

@@ -24,6 +24,12 @@ DEFAULT_PRECISION = 128  # bits
 workprec = mpmath.workprec
 
 
+def check_precision(precision_bits: int) -> None:
+    """Reject a working precision below one bit, which mpmath does not refuse."""
+    if precision_bits < 1:
+        raise ValueError(f"precision must be at least 1 bit, got {precision_bits}")
+
+
 def to_mpf(value):
     """int or Fraction to mpf under the current working precision."""
     num, den = value.numerator, value.denominator

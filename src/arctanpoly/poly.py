@@ -30,6 +30,30 @@ def _trim(coeffs: list) -> list:
     return coeffs
 
 
+def _row_product(a, b) -> list:
+    """Untrimmed schoolbook product of two ascending coefficient lists.
+
+    The interpreter loop meets only nonzero pairs: the shorter list supplies
+    the rows, the nonzero entries of the longer one are collected once, and
+    zeros on either side are skipped (the families store every other
+    coefficient as zero).  Sums are exact, so the value at each index does
+    not depend on the order of its terms; an index that only zeros reach
+    stays int 0 where a Fraction operand could have made it Fraction(0),
+    which canonicalization removes.
+    """
+    if not a or not b:
+        return []
+    if len(a) > len(b):
+        a, b = b, a
+    out = [0] * (len(a) + len(b) - 1)
+    nonzero = [(j, d) for j, d in enumerate(b) if d]
+    for i, c in enumerate(a):
+        if c:
+            for j, d in nonzero:
+                out[i + j] += c * d
+    return out
+
+
 class Polynomial:
     """Immutable exact polynomial; all operations return new values."""
 
@@ -122,19 +146,17 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other):
+        """Exact product; a scalar factor scales.
+
+        The schoolbook product of ``_row_product`` over nonzero coefficient
+        pairs, for int and Fraction coefficients alike.
+        """
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if not a or not b:
-            return Polynomial.zero()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, c in enumerate(a):
-            if c:
-                for j, d in enumerate(b):
-                    out[i + j] += c * d
-        return Polynomial._raw(_trim([_canon(c) for c in out]))
+        out = _row_product(self._coeffs, other._coeffs)
+        return Polynomial._raw(_trim(list(map(_canon, out))))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -164,9 +186,25 @@ class Polynomial:
         return Polynomial._raw(_trim([i * c[i] for i in range(1, len(c))]))
 
     def evaluate(self, x):
-        """Exact value at a rational point, by Horner."""
+        """Exact value at a rational point, by Horner.
+
+        At a Fraction p/q with all-int coefficients c_0..c_d, Horner runs on
+        the homogenized integer sum of c_k p^k q^(d-k) and divides by q^d
+        once, so no gcd is taken per coefficient; the result is the same
+        Fraction that Horner over Fractions gives.  Every other input runs
+        Horner on the values as given.
+        """
+        coeffs = self._coeffs
+        if type(x) is Fraction and coeffs and all(type(c) is int for c in coeffs):
+            p, q = x.numerator, x.denominator
+            acc = coeffs[-1]
+            q_pow = 1
+            for c in reversed(coeffs[:-1]):
+                q_pow *= q
+                acc = acc * p + c * q_pow if c else acc * p
+            return Fraction(acc, q_pow)
         acc = 0
-        for c in reversed(self._coeffs):
+        for c in reversed(coeffs):
             acc = acc * x + c
         return acc
 

@@ -163,6 +163,11 @@ def _tail_bound_at_one(kind: SeriesKind, n: int, latest_term: Fraction):
     return envelope / ((n + 2) * (1 - mpmath.mpf(2) ** -0.5))
 
 
+def _check_tolerance(tolerance: float) -> None:
+    if not (isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be a finite positive number, got {tolerance}")
+
+
 def pi_approx(kind: SeriesKind, tolerance: float) -> tuple[float, int]:
     """Approximate pi as 4 * (series at x = 1), stopping on a certified bound.
 
@@ -170,8 +175,7 @@ def pi_approx(kind: SeriesKind, tolerance: float) -> tuple[float, int]:
     tail bounds documented in _tail_bound_at_one.  A tolerance that is not a
     finite positive number raises ValueError.
     """
-    if not (isfinite(tolerance) and tolerance > 0):
-        raise ValueError(f"tolerance must be a finite positive number, got {tolerance}")
+    _check_tolerance(tolerance)
     one = Fraction(1)
     with workprec(ERROR_TRACKING_BITS):
         stream = _term_stream(kind, one)
@@ -195,9 +199,11 @@ class ComparisonRow:
 
 
 def compare_series(x: Fraction, tolerance: float, max_terms: int = 2000) -> list[ComparisonRow]:
-    """Terms needed by each series to push the measured error below tolerance."""
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    """Terms needed by each series to push the measured error below tolerance.
+
+    A tolerance that is not a finite positive number raises ValueError.
+    """
+    _check_tolerance(tolerance)
     x = Fraction(x)
     out = []
     with workprec(ERROR_TRACKING_BITS):

@@ -214,3 +214,11 @@ def test_order_validation():
         arctan_nth_derivative(0, Fraction(1))
     with pytest.raises(ValueError):
         roots(SequenceKind.BETA, 0)
+
+
+@pytest.mark.parametrize("precision", [0, -5])
+def test_precision_below_one_bit_rejected(precision):
+    with pytest.raises(ValueError, match="precision"):
+        roots(SequenceKind.BETA, 3, precision)
+    with pytest.raises(ValueError, match="precision"):
+        sign_changes_between_roots(SequenceKind.ALPHA, 3, precision)

@@ -1,4 +1,5 @@
 """Command-line behavior: output shapes, exit codes, round trips."""
+import contextlib
 import json
 import subprocess
 import sys
@@ -187,3 +188,67 @@ def test_console_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "3x^2 - 1"
+
+
+@pytest.mark.parametrize("precision", ["0", "-5"])
+def test_roots_rejects_precision_below_one_bit(capsys, precision):
+    code, out, err = run_cli(
+        capsys, "roots", "--kind", "beta", "--n", "3", "--precision", precision
+    )
+    assert code == 2
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@contextlib.contextmanager
+def _int_str_limit(limit):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+needs_int_str_limit = pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int/str conversion limit"
+)
+
+
+@needs_int_str_limit
+def test_poly_prints_members_beyond_the_int_string_limit(capsys):
+    from math import factorial
+
+    with _int_str_limit(4300):
+        code, out, _ = run_cli(capsys, "poly", "--kind", "p", "--n", "1500", "--format", "json")
+        assert sys.get_int_max_str_digits() == 4300  # restored for the caller
+    assert code == 0
+    coeffs = json.loads(out)["coeffs"]
+    assert len(coeffs) == 1501 and max(map(len, coeffs)) > 4300
+    with _int_str_limit(0):
+        assert coeffs[-1] == str(factorial(1500) * 1501)  # (-1)^n n! (n+1), n even
+
+
+@needs_int_str_limit
+def test_deriv_prints_values_beyond_the_int_string_limit(capsys):
+    from fractions import Fraction
+
+    from arctanpoly.calculus import arctan_nth_derivative
+
+    with _int_str_limit(4300):
+        code, out, err = run_cli(capsys, "deriv", "--func", "arctan", "--n", "3000", "--x", "5/6")
+        assert sys.get_int_max_str_digits() == 4300
+    assert code == 0 and err == ""
+    num, den = out.strip().split("/")
+    assert len(num) > 4300
+    with _int_str_limit(0):
+        assert Fraction(int(num), int(den)) == arctan_nth_derivative(3000, Fraction(5, 6))
+
+
+def test_oversized_rational_literal_exits_2(capsys):
+    code, out, err = run_cli(capsys, "deriv", "--func", "arctan", "--n", "3", "--x", "1" * 5000)
+    assert code == 2
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")

@@ -124,3 +124,13 @@ def test_concurrent_cache_extension_is_consistent():
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(lambda _: bernoulli(120), range(16)))
     assert all(value == expected for value in results)
+
+
+def test_parse_rational_bounds_literal_digits():
+    from arctanpoly.exact import MAX_LITERAL_DIGITS
+
+    assert parse_rational("7" * MAX_LITERAL_DIGITS) == int("7" * MAX_LITERAL_DIGITS)
+    with pytest.raises(ValueError, match="digits"):
+        parse_rational("7" * (MAX_LITERAL_DIGITS + 1))
+    with pytest.raises(ValueError, match="digits"):
+        parse_rational("1/" + "3" * 5000)

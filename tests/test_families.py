@@ -314,3 +314,84 @@ def test_concurrent_prefix_growth_is_consistent(monkeypatch, kind, method):
     for n, got in zip(sizes, results):
         assert len(got) == n + 1
         assert all(a is b for a, b in zip(got, final))
+
+
+# Reference implementations: one math.comb call per coefficient, and the
+# three-term step as an index loop.
+
+def _comb_beta(n):
+    out = [0] * (n + 1)
+    for k in range(n // 2 + 1):
+        out[n - 2 * k] = (-1) ** k * comb(n + 1, 2 * k + 1)
+    return out
+
+
+def _comb_alpha(n):
+    out = [0] * (n + 1)
+    for k in range(n // 2 + 1):
+        out[n - 2 * k] = (-1) ** k * comb(n, 2 * k)
+    return out
+
+
+def _comb_p(n):
+    fac = factorial(n)
+    out = [0] * (n + 1)
+    for k in range(n // 2 + 1):
+        out[n - 2 * k] = (-1) ** (n + k) * fac * comb(n + 1, 2 * k + 1)
+    return out
+
+
+@pytest.mark.parametrize(
+    "builder, oracle",
+    [
+        (fam._beta_explicit, _comb_beta),
+        (fam._alpha_explicit, _comb_alpha),
+        (fam._p_explicit, _comb_p),
+    ],
+)
+def test_ratio_explicit_builders_match_comb_loops(builder, oracle):
+    for n in range(401):
+        got = builder(n)
+        assert got == oracle(n), n
+        assert all(type(c) is int for c in got), n
+
+
+def _loop_three_term_step(cur, prev):
+    out = [0] * (len(cur) + 1)
+    for i, c in enumerate(cur):
+        out[i + 1] += 2 * c
+    for i, c in enumerate(prev):
+        out[i] -= c
+        out[i + 2] -= c
+    return out
+
+
+@pytest.mark.parametrize(
+    "kind, seed", [(SequenceKind.BETA, ([1], [0, 2])), (SequenceKind.ALPHA, ([1], [0, 1]))]
+)
+def test_three_term_step_matches_loop(kind, seed):
+    prev, cur = seed
+    for n in range(2, 301):
+        got = fam._three_term_step(cur, prev)
+        assert got == _loop_three_term_step(cur, prev)
+        assert len(got) == n + 1
+        assert all(type(c) is int for c in got)
+        prev, cur = cur, got
+    assert Polynomial(cur) == build(kind, 300)
+
+
+@pytest.mark.parametrize(
+    "kind, method",
+    [
+        (SequenceKind.BETA, BuildMethod.RECURRENCE),
+        (SequenceKind.ALPHA, BuildMethod.RECURRENCE),
+        (SequenceKind.BETA, BuildMethod.DETERMINANT),
+        (SequenceKind.ALPHA, BuildMethod.DETERMINANT),
+    ],
+)
+def test_integer_three_term_routes_hand_out_canonical_ints(monkeypatch, kind, method):
+    monkeypatch.setattr(fam, "_prefix_cache", {})
+    oracle = _comb_beta if kind is SequenceKind.BETA else _comb_alpha
+    for n, p in enumerate(build_sequence(kind, 120, method)):
+        assert p.coefficients == tuple(oracle(n))
+        assert all(type(c) is int for c in p.coefficients)

@@ -157,3 +157,9 @@ def test_matrix_json_round_trip():
     h2 = build_H(2)
     payload = json.loads(h2.json())
     assert payload == {"n": 2, "entries": [["0", "1/3"], ["1", "0"]]}
+
+
+@pytest.mark.parametrize("precision", [0, -5])
+def test_eigen_check_rejects_precision_below_one_bit(precision):
+    with pytest.raises(ValueError, match="precision"):
+        eigen_check(4, precision)

@@ -125,3 +125,9 @@ def test_input_validation():
         partial_sum(SeriesKind.EULER, Fraction(1), 0)
     with pytest.raises(ValueError):
         pi_approx(SeriesKind.EULER, 0.0)
+
+
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), 0.0, -1e-8])
+def test_compare_series_rejects_non_finite_or_non_positive_tolerance(tolerance):
+    with pytest.raises(ValueError, match="finite positive"):
+        compare_series(Fraction(1), tolerance, 300)
