@@ -30,9 +30,9 @@ print("EVERY CONSTRUCTION GIVES THE SAME POLYNOMIALS")
 print("=" * 72)
 print("""
 The same family member can be built by a three-term recurrence, an explicit
-binomial sum, powers of x+i, powers of a 2x2 polynomial matrix, a
-tridiagonal determinant expansion, terminating hypergeometric sums,
-Bernoulli-weighted monic recurrences, or a derivative recursion.
+binomial sum, powers of x+i, powers of a 2x2 polynomial matrix, terminating
+hypergeometric sums, Bernoulli-weighted monic recurrences, or a derivative
+recursion.
 """)
 n_show = 7
 for method in BuildMethod:

@@ -12,11 +12,12 @@ monomials z^(n-2k), each of which picks up precisely the integer power
 from __future__ import annotations
 
 from enum import Enum
+from operator import add, sub
 
 from . import families
 from .families import BuildMethod, SequenceKind
 from .highprec import DEFAULT_PRECISION, check_precision, cot_node, eval_poly, workprec
-from .poly import Polynomial, _trim, _canon
+from .poly import Polynomial, _canon, _radd_scaled, _trim
 
 
 class ChebyshevKind(Enum):
@@ -37,36 +38,22 @@ def chebyshev(kind: ChebyshevKind, n: int) -> Polynomial:
     if n == 0:
         return Polynomial._raw(prev)
     for _ in range(n - 1):
-        nxt = [0] * (len(cur) + 1)
-        for i, c in enumerate(cur):
-            nxt[i + 1] = 2 * c
-        for i, c in enumerate(prev):
-            nxt[i] -= c
-        prev, cur = cur, nxt
+        # len(prev) == len(cur) - 1, so both rows have len(cur) + 1 entries
+        prev, cur = cur, list(map(sub, [0, *map(add, cur, cur)], prev + [0, 0]))
     return Polynomial._raw(cur)
 
 
 def _bridge_expansion(n: int, source: Polynomial) -> Polynomial:
     # sum over monomials c * z^m of source: c * x^m * (1+x^2)^((n-m)/2)
+    powers = [[1]]  # (1+x^2)^j for j = 0..n//2
+    for _ in range(n // 2):
+        row = powers[-1]
+        powers.append(list(map(add, row + [0, 0], [0, 0] + row)))
     acc: list = []
-    one_plus_sq_pow = [1]  # (1+x^2)^j, grown on demand
-    powers = [one_plus_sq_pow]
-    for j in range(1, n // 2 + 1):
-        prev = powers[-1]
-        nxt = [0] * (len(prev) + 2)
-        for i, c in enumerate(prev):
-            nxt[i] += c
-            nxt[i + 2] += c
-        powers.append(nxt)
     for m in range(n + 1):
         c = source.coefficient(m)
-        if not c:
-            continue
-        term = powers[(n - m) // 2]
-        if len(acc) < m + len(term):
-            acc = acc + [0] * (m + len(term) - len(acc))
-        for i, d in enumerate(term):
-            acc[m + i] += c * d
+        if c:
+            acc = _radd_scaled(acc, [0] * m + powers[(n - m) // 2], c)
     return Polynomial._raw(_trim([_canon(c) for c in acc]))
 
 

@@ -176,13 +176,19 @@ def suite_cross(max_n: int) -> list[CheckRow]:
                     f"{kind.value}[{ma.value}=={mb.value}]",
                     n,
                     equal,
-                    "" if equal else "polynomials differ",
+                    "" if equal else report.detail,
                 )
             )
     return rows
 
 
+def _check_hessenberg_cap(cap: int) -> None:
+    if cap < 1:
+        raise ValueError(f"hessenberg cap must be at least 1, got {cap}")
+
+
 def suite_hessenberg(max_n: int, cap: int = HESSENBERG_CAP) -> list[CheckRow]:
+    _check_hessenberg_cap(cap)
     rows = []
     top = min(max_n, cap)
     spot = {(1, 1): Fraction(1, 3), (3, 3): Fraction(2, 15), (5, 5): Fraction(16, 63)}
@@ -319,6 +325,7 @@ def suite_connections(max_n: int) -> list[CheckRow]:
 
 
 def run_suite(name: str, max_n: int, hessenberg_cap: int = HESSENBERG_CAP) -> list[CheckRow]:
+    _check_hessenberg_cap(hessenberg_cap)  # before any suite runs
     if name == "all":
         rows = []
         for suite in SUITE_NAMES:

@@ -175,6 +175,8 @@ def _cmd_roots(args) -> int:
 
 def _cmd_connect(args) -> int:
     if args.what == "tan":
+        if args.method is not None:
+            raise ValueError("--method does not apply to --what tan, which has one construction")
         ratio = connections.tan_multiple(args.n)
         print(f"({ratio.numerator.pretty()}) / ({ratio.denominator.pretty()})  [{ratio.parity} n]")
         return EXIT_OK
@@ -232,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="hessenberg_cap",
         type=int,
         default=checks.HESSENBERG_CAP,
-        help="raise the exact charpoly verification cap",
+        help="exact charpoly verification cap (at least 1)",
     )
     p_verify.add_argument("--format", default="text", choices=["text", "json", "csv"])
     p_verify.set_defaults(handler=_cmd_verify)

@@ -11,9 +11,9 @@ Four families are materialized, all with exact coefficients:
 
 Every family can be built by several independent routes (three-term
 recurrence, explicit binomial sums, complex powers, 2x2 matrix powers,
-tridiagonal determinant expansion, Bernoulli-weighted monic recurrences,
-terminating hypergeometric sums, derivative recursions) and the routes are
-cross-checked coefficient by coefficient.
+Bernoulli-weighted monic recurrences, terminating hypergeometric sums,
+derivative recursions) and the routes are cross-checked coefficient by
+coefficient.
 """
 from __future__ import annotations
 
@@ -25,8 +25,8 @@ from math import comb, factorial, gcd, lcm
 from operator import add, neg, sub
 from typing import Callable
 
-from .exact import bernoulli
-from .poly import Polynomial, _canon, _row_product, _trim
+from .exact import bernoulli, format_rational
+from .poly import Polynomial, _binary_pow, _canon, _radd_scaled, _row_product, _trim
 
 
 class SequenceKind(Enum):
@@ -41,7 +41,6 @@ class BuildMethod(Enum):
     EXPLICIT = "explicit"
     COMPLEX_POWER = "complex-power"
     MATRIX_POWER = "matrix-power"
-    DETERMINANT = "determinant"
     MONIC_BERNOULLI = "monic-bernoulli"
     HYPERGEOMETRIC = "hypergeometric"
     DERIVATIVE_RECURRENCE = "derivative-recurrence"
@@ -95,15 +94,6 @@ def _three_term_step(cur: list, prev: list) -> list:
     return list(map(sub, map(sub, [0, *map(add, cur, cur)], prev + [0, 0]), [0, 0] + prev))
 
 
-def _radd_scaled(acc: list, term: list, factor) -> list:
-    if len(acc) < len(term):
-        acc = acc + [0] * (len(term) - len(acc))
-    for i, c in enumerate(term):
-        if c:
-            acc[i] += factor * c
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # per-n builders
 # ---------------------------------------------------------------------------
@@ -140,9 +130,18 @@ def _alpha_explicit(n: int) -> list:
     return _signed_row(n, n, 0)
 
 
-def _p_explicit(n: int) -> list:
+def _p_factor(n: int) -> int:
     # P_n = (-1)^n n! beta_n coefficientwise, i.e. n! beta_n(-x)
-    return _signed_row(n, n + 1, 1, (-1) ** n * factorial(n))
+    return (-1) ** n * factorial(n)
+
+
+def _p_explicit(n: int) -> list:
+    return _signed_row(n, n + 1, 1, _p_factor(n))
+
+
+def _p_from_beta(raw: list, n: int) -> list:
+    factor = _p_factor(n)
+    return [factor * c for c in raw]
 
 
 def _beta_hypergeometric(n: int) -> list:
@@ -166,26 +165,18 @@ def _hypergeometric_family(n: int, c: Fraction, lead: int) -> list:
     return out
 
 
+def _cmul(p, q):
+    # (a + ib)(c + id) on (re, im) pairs of coefficient lists
+    (a, b), (c, d) = p, q
+    return (
+        _radd_scaled(_row_product(a, c), _row_product(b, d), -1),
+        _radd_scaled(_row_product(a, d), _row_product(b, c), 1),
+    )
+
+
 def _complex_pair_pow(m: int) -> tuple[list, list]:
-    """(re, im) coefficient lists of (x + i)**m, by binary powering."""
-    result = ([1], [])
-    square = ([0, 1], [1])  # x + i
-    while m:
-        if m & 1:
-            ra, ia = result
-            rb, ib = square
-            result = (
-                _radd_scaled(_row_product(ra, rb), _row_product(ia, ib), -1),
-                _radd_scaled(_row_product(ra, ib), _row_product(ia, rb), 1),
-            )
-        m >>= 1
-        if m:
-            rb, ib = square
-            square = (
-                _radd_scaled(_row_product(rb, rb), _row_product(ib, ib), -1),
-                _radd_scaled(_row_product(rb, ib), _row_product(ib, rb), 1),
-            )
-    return result
+    """(re, im) coefficient lists of (x + i)**m."""
+    return _binary_pow(([0, 1], [1]), m, ([1], []), _cmul)
 
 
 _M_STEP = (([], [-1, 0, -1]), ([1], [0, 2]))  # [[0, -(1+x^2)], [1, 2x]]
@@ -206,35 +197,46 @@ def _m2mul(p, q):
     )
 
 
-def _matrix_pow(n: int):
-    result = (([1], []), ([], [1]))
-    square = _M_STEP
-    while n:
-        if n & 1:
-            result = _m2mul(result, square)
-        n >>= 1
-        if n:
-            square = _m2mul(square, square)
-    return result
-
-
 def _family_from_matrix_power(n: int, row1) -> list:
     # (1, r(x)) . M^n . (1, 0)^T  =  M^n[0][0] + r(x) * M^n[1][0]
-    mp = _matrix_pow(n)
+    mp = _binary_pow(_M_STEP, n, (([1], []), ([], [1])), _m2mul)
     return _radd_scaled(list(mp[0][0]), _row_product(row1, mp[1][0]), 1)
 
 
-def _ze_bracket(n: int, j: int) -> Fraction:
+def bracket(n: int, j: int) -> Fraction:
+    """Bracket coefficient [n over j] of the monic recurrence of pi_n, exact."""
+    if not 0 <= j <= n:
+        raise ValueError("need 0 <= j <= n")
+    if j == 0:
+        return Fraction(0)
     return Fraction(2 ** (j + 1), j + 1) * comb(n, j) * abs(bernoulli(j + 1))
 
 
-def _alpha_ze_coeff(n: int, j: int) -> Fraction:
-    p = 2 ** (j + 1)
-    return Fraction(p * (p - 1), j + 1) * comb(n, j) * abs(bernoulli(j + 1))
+# The Bernoulli routes hold this bracket object (here as a default argument,
+# for pi in the step closure), so rebinding the module attribute leaves them.
+def _alpha_ze_coeff(n: int, j: int, bracket=bracket) -> Fraction:
+    return (2 ** (j + 1) - 1) * bracket(n, j)
+
+
+# Single members of the uncached routes, as raw coefficient lists.
+_MEMBERS: dict[tuple[SequenceKind, BuildMethod], Callable[[int], list]] = {
+    (SequenceKind.BETA, BuildMethod.EXPLICIT): _beta_explicit,
+    (SequenceKind.ALPHA, BuildMethod.EXPLICIT): _alpha_explicit,
+    (SequenceKind.P, BuildMethod.EXPLICIT): _p_explicit,
+    (SequenceKind.BETA, BuildMethod.HYPERGEOMETRIC): _beta_hypergeometric,
+    (SequenceKind.ALPHA, BuildMethod.HYPERGEOMETRIC): _alpha_hypergeometric,
+    (SequenceKind.BETA, BuildMethod.COMPLEX_POWER): lambda n: _complex_pair_pow(n + 1)[1],
+    (SequenceKind.ALPHA, BuildMethod.COMPLEX_POWER): lambda n: _complex_pair_pow(n)[0],
+    (SequenceKind.P, BuildMethod.COMPLEX_POWER): lambda n: _p_from_beta(
+        _complex_pair_pow(n + 1)[1], n
+    ),
+    (SequenceKind.BETA, BuildMethod.MATRIX_POWER): lambda n: _family_from_matrix_power(n, [0, 2]),
+    (SequenceKind.ALPHA, BuildMethod.MATRIX_POWER): lambda n: _family_from_matrix_power(n, [0, 1]),
+}
 
 
 # ---------------------------------------------------------------------------
-# full-prefix generators of the uncached routes
+# full prefixes of the power routes, stepping from one member to the next
 # ---------------------------------------------------------------------------
 
 def _seq_complex_power(n_max: int, part: str, power_shift: int) -> list[list]:
@@ -258,21 +260,11 @@ def _seq_matrix_power(n_max: int, row1: list) -> list[list]:
     return seq
 
 
-_SEQUENCE_BUILDERS = {
-    (SequenceKind.BETA, BuildMethod.EXPLICIT): lambda n: [_beta_explicit(k) for k in range(n + 1)],
-    (SequenceKind.ALPHA, BuildMethod.EXPLICIT): lambda n: [_alpha_explicit(k) for k in range(n + 1)],
-    (SequenceKind.P, BuildMethod.EXPLICIT): lambda n: [_p_explicit(k) for k in range(n + 1)],
-    (SequenceKind.BETA, BuildMethod.HYPERGEOMETRIC): lambda n: [
-        _beta_hypergeometric(k) for k in range(n + 1)
-    ],
-    (SequenceKind.ALPHA, BuildMethod.HYPERGEOMETRIC): lambda n: [
-        _alpha_hypergeometric(k) for k in range(n + 1)
-    ],
+_POWER_PREFIXES = {
     (SequenceKind.BETA, BuildMethod.COMPLEX_POWER): lambda n: _seq_complex_power(n, "im", 1),
     (SequenceKind.ALPHA, BuildMethod.COMPLEX_POWER): lambda n: _seq_complex_power(n, "re", 0),
     (SequenceKind.P, BuildMethod.COMPLEX_POWER): lambda n: [
-        [(-1) ** k * factorial(k) * c for c in raw]
-        for k, raw in enumerate(_seq_complex_power(n, "im", 1))
+        _p_from_beta(raw, k) for k, raw in enumerate(_seq_complex_power(n, "im", 1))
     ],
     (SequenceKind.BETA, BuildMethod.MATRIX_POWER): lambda n: _seq_matrix_power(n, [0, 2]),
     (SequenceKind.ALPHA, BuildMethod.MATRIX_POWER): lambda n: _seq_matrix_power(n, [0, 1]),
@@ -371,15 +363,6 @@ _ROUTES: dict[tuple[SequenceKind, BuildMethod], _Route] = {
     (SequenceKind.ALPHA, BuildMethod.RECURRENCE): _Route(
         ([1], [0, 1]), _three_term_next, _wrap_int, window=2
     ),
-    # Cofactor expansion of the n x n tridiagonal determinant with diagonal
-    # 2x (first entry 2x for beta, x for alpha), superdiagonal -(1+x^2) and
-    # subdiagonal -1: D_k = 2x D_{k-1} - (1+x^2) D_{k-2}, D_0 = 1.
-    (SequenceKind.BETA, BuildMethod.DETERMINANT): _Route(
-        ([1], [0, 2]), _three_term_next, _wrap_int, window=2
-    ),
-    (SequenceKind.ALPHA, BuildMethod.DETERMINANT): _Route(
-        ([1], [0, 1]), _three_term_next, _wrap_int, window=2
-    ),
     # pi_n as the quotient beta_n/(n+1) on top of the beta recurrence
     (SequenceKind.MONIC_PI, BuildMethod.RECURRENCE): _Route(
         ([1], [0, 2]),
@@ -388,7 +371,7 @@ _ROUTES: dict[tuple[SequenceKind, BuildMethod], _Route] = {
         window=2,
     ),
     (SequenceKind.MONIC_PI, BuildMethod.MONIC_BERNOULLI): _Route(
-        (([1], 1),), _monic_bernoulli_step(_ze_bracket), _wrap_fraction_free
+        (([1], 1),), _monic_bernoulli_step(bracket), _wrap_fraction_free
     ),
     (SequenceKind.ALPHA, BuildMethod.MONIC_BERNOULLI): _Route(
         (([1], 1),), _monic_bernoulli_step(_alpha_ze_coeff), _wrap_fraction_free
@@ -453,7 +436,11 @@ def build_sequence(
     _check_pair(kind, method)
     key = (kind, method)
     if key not in _ROUTES:
-        return [_wrap(raw) for raw in _SEQUENCE_BUILDERS[key](n_max)]
+        if key in _POWER_PREFIXES:
+            raws = _POWER_PREFIXES[key](n_max)
+        else:
+            raws = map(_MEMBERS[key], range(n_max + 1))
+        return [_wrap(raw) for raw in raws]
     prefix = _prefix_cache.get(key)
     if prefix is None or len(prefix.members) <= n_max:
         with _prefix_lock:
@@ -464,35 +451,18 @@ def build_sequence(
 def build(kind: SequenceKind, n: int, method: BuildMethod | None = None) -> Polynomial:
     """Exact member n of the family by the requested construction.
 
-    Single-shot complex- and matrix-power requests use binary powering; the
-    recurrence-style methods read member n from the shared prefix cache,
-    which steps forward from its last cached member when n is new.
+    The uncached routes build member n alone (complex and matrix powers by
+    binary powering); the recurrence-style methods read member n from the
+    shared prefix cache, which steps forward from its last cached member
+    when n is new.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     method = method or DEFAULT_METHOD[kind]
     _check_pair(kind, method)
-    if method is BuildMethod.EXPLICIT:
-        raw = {
-            SequenceKind.BETA: _beta_explicit,
-            SequenceKind.ALPHA: _alpha_explicit,
-            SequenceKind.P: _p_explicit,
-        }[kind](n)
-        return _wrap(raw)
-    if method is BuildMethod.HYPERGEOMETRIC:
-        raw = (_beta_hypergeometric if kind is SequenceKind.BETA else _alpha_hypergeometric)(n)
-        return _wrap(raw)
-    if method is BuildMethod.COMPLEX_POWER:
-        if kind is SequenceKind.ALPHA:
-            return _wrap(_complex_pair_pow(n)[0])
-        im = _complex_pair_pow(n + 1)[1]
-        if kind is SequenceKind.P:
-            sign_fac = (-1) ** n * factorial(n)
-            return _wrap([sign_fac * c for c in im])
-        return _wrap(im)
-    if method is BuildMethod.MATRIX_POWER:
-        row1 = [0, 2] if kind is SequenceKind.BETA else [0, 1]
-        return _wrap(_family_from_matrix_power(n, row1))
+    member = _MEMBERS.get((kind, method))
+    if member is not None:
+        return _wrap(member(n))
     return build_sequence(kind, n, method)[n]
 
 
@@ -502,11 +472,16 @@ def build(kind: SequenceKind, n: int, method: BuildMethod | None = None) -> Poly
 
 @dataclass
 class CrossValidationReport:
-    """Pairwise equality results of all supported methods for one family."""
+    """Pairwise equality results of all supported methods for one family.
+
+    ``detail`` names the first coefficient on which the failing pair
+    differs, and is empty when every pair agrees.
+    """
 
     kind: SequenceKind
     n_max: int
     rows: list[tuple[int, BuildMethod, BuildMethod, bool]]
+    detail: str = ""
 
     @property
     def passed(self) -> bool:
@@ -526,7 +501,20 @@ class CrossValidationReport:
                 f"n={self.n_max}, all equal"
             )
         n, ma, mb, _ = self.failure
-        return f"{self.kind.value}: MISMATCH at n={n} between {ma.value} and {mb.value}"
+        return (
+            f"{self.kind.value}: MISMATCH at n={n} between {ma.value} and {mb.value}: "
+            f"{self.detail}"
+        )
+
+
+def _first_difference(ma: BuildMethod, a: Polynomial, mb: BuildMethod, b: Polynomial) -> str:
+    k = 0
+    while a.coefficient(k) == b.coefficient(k):
+        k += 1
+    return (
+        f"first difference at x^{k}: {ma.value} gives {format_rational(a.coefficient(k))}, "
+        f"{mb.value} gives {format_rational(b.coefficient(k))}"
+    )
 
 
 def cross_validate(kind: SequenceKind, n_max: int) -> CrossValidationReport:
@@ -542,10 +530,12 @@ def cross_validate(kind: SequenceKind, n_max: int) -> CrossValidationReport:
     for n in range(n_max + 1):
         for i, ma in enumerate(methods):
             for mb in methods[i + 1 :]:
-                equal = sequences[ma][n] == sequences[mb][n]
+                a, b = sequences[ma][n], sequences[mb][n]
+                equal = a == b
                 rows.append((n, ma, mb, equal))
                 if not equal:
-                    return CrossValidationReport(kind, n_max, rows)
+                    detail = _first_difference(ma, a, mb, b)
+                    return CrossValidationReport(kind, n_max, rows, detail)
     return CrossValidationReport(kind, n_max, rows)
 
 
@@ -575,16 +565,6 @@ def _series_divide(num: list, den: list, order: int) -> list[Fraction]:
         for j in range(1, min(k, len(den) - 1) + 1):
             acc -= den[j] * out[k - j]
         out.append(acc * inv0)
-    return out
-
-
-def _series_multiply(a: list, b: list, order: int) -> list[Fraction]:
-    out = [Fraction(0)] * order
-    for i, c in enumerate(a[:order]):
-        if c:
-            for j, d in enumerate(b[: order - i]):
-                if d:
-                    out[i + j] += c * d
     return out
 
 
@@ -619,7 +599,7 @@ def verify_egf(kind: SequenceKind, x: Fraction, order: int) -> bool:
     sin_z = [((-1) ** (k // 2)) * inv_fact[k] if k % 2 == 1 else Fraction(0) for k in range(order)]
     exp_xz = [x**k * inv_fact[k] for k in range(order)]
     trig = cos_z if kind is SequenceKind.ALPHA else [c + x * s for c, s in zip(cos_z, sin_z)]
-    prod = _series_multiply(trig, exp_xz, order)
+    prod = _row_product(trig, exp_xz)
     values = family_values(kind, x, order)
     fact = 1
     for n in range(order):

@@ -10,18 +10,18 @@ For pi_n the brackets are Bernoulli-weighted:
     [n over 0] = 0,
 
 so every even offset j >= 2 vanishes along with the odd Bernoulli numbers,
-the trace is zero, and the eigenvalues are cot(k*pi/(n+1)).
+the trace is zero, and the eigenvalues are cot(k*pi/(n+1)).  ``bracket``
+is defined in ``families``, whose Bernoulli-weighted route steps with it.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from . import families
-from .exact import bernoulli, format_rational
-from .families import BuildMethod, SequenceKind
+from .exact import format_rational
+from .families import BuildMethod, SequenceKind, bracket
 from .highprec import (
     DEFAULT_PRECISION,
     certify_simple_root,
@@ -31,15 +31,6 @@ from .highprec import (
     workprec,
 )
 from .poly import Polynomial
-
-
-def bracket(n: int, j: int) -> Fraction:
-    """Bracket coefficient [n over j] of the monic recurrence, exact."""
-    if not 0 <= j <= n:
-        raise ValueError("need 0 <= j <= n")
-    if j == 0:
-        return Fraction(0)
-    return Fraction(2 ** (j + 1), j + 1) * comb(n, j) * abs(bernoulli(j + 1))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ representation canonical and makes the integer-coefficient families cheap.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from .exact import format_rational
 
@@ -52,6 +53,29 @@ def _row_product(a, b) -> list:
             for j, d in nonzero:
                 out[i + j] += c * d
     return out
+
+
+def _radd_scaled(acc: list, term: list, factor) -> list:
+    """acc + factor * term on ascending coefficient lists, updating acc in place
+    unless it must grow."""
+    if len(acc) < len(term):
+        acc = acc + [0] * (len(term) - len(acc))
+    for i, c in enumerate(term):
+        if c:
+            acc[i] += factor * c
+    return acc
+
+
+def _binary_pow(base, n: int, one, mul):
+    """base**n under the product mul, by binary powering."""
+    result, square = one, base
+    while n:
+        if n & 1:
+            result = mul(result, square)
+        n >>= 1
+        if n:
+            square = mul(square, square)
+    return result
 
 
 class Polynomial:
@@ -171,15 +195,7 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative powers are not polynomials")
-        result = Polynomial.one()
-        square = self
-        while n:
-            if n & 1:
-                result = result * square
-            n >>= 1
-            if n:
-                square = square * square
-        return result
+        return _binary_pow(self, n, Polynomial.one(), mul)
 
     def differentiate(self) -> "Polynomial":
         c = self._coeffs

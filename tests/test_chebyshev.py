@@ -5,6 +5,7 @@ import pytest
 
 from arctanpoly.chebyshev import (
     ChebyshevKind,
+    _bridge_expansion,
     ZeroParameterError,
     alpha_from_chebyshev,
     beta_from_chebyshev,
@@ -59,6 +60,56 @@ def test_bridges_match_recurrence_builds():
         assert alpha_from_chebyshev(n) == build(SequenceKind.ALPHA, n, BuildMethod.RECURRENCE)
 
 
+# Reference implementations: the Chebyshev step and the (1+x^2)^j powers of
+# the bridge expansion as index loops.
+
+def _loop_chebyshev_rows(kind, n_max):
+    prev = [1]
+    cur = [0, 1] if kind is ChebyshevKind.FIRST_KIND else [0, 2]
+    yield prev
+    for _ in range(n_max):
+        yield cur
+        nxt = [0] * (len(cur) + 1)
+        for i, c in enumerate(cur):
+            nxt[i + 1] = 2 * c
+        for i, c in enumerate(prev):
+            nxt[i] -= c
+        prev, cur = cur, nxt
+
+
+def _loop_bridge_expansion(n, source):
+    acc = []
+    powers = [[1]]
+    for _ in range(1, n // 2 + 1):
+        prev = powers[-1]
+        nxt = [0] * (len(prev) + 2)
+        for i, c in enumerate(prev):
+            nxt[i] += c
+            nxt[i + 2] += c
+        powers.append(nxt)
+    for m in range(n + 1):
+        c = source.coefficient(m)
+        if not c:
+            continue
+        term = powers[(n - m) // 2]
+        if len(acc) < m + len(term):
+            acc = acc + [0] * (m + len(term) - len(acc))
+        for i, d in enumerate(term):
+            acc[m + i] += c * d
+    return Polynomial(acc)
+
+
+@pytest.mark.parametrize("kind", list(ChebyshevKind))
+def test_chebyshev_and_bridge_match_index_loops(kind):
+    for n, expected in enumerate(_loop_chebyshev_rows(kind, 300)):
+        t = chebyshev(kind, n)
+        assert list(t.coefficients) == expected, n
+        assert all(type(c) is int for c in t.coefficients), n
+        bridged = _bridge_expansion(n, t)
+        assert bridged == _loop_bridge_expansion(n, t), n
+        assert all(type(c) is int for c in bridged.coefficients), n
+
+
 def test_tridiag_examples():
     assert tridiag_det(Fraction(1), Fraction(3), Fraction(4), 2) == 5
     # s = 2:  2^2 * U_2(3/4) = 4 * (9/4 - 1) = 5
@@ -98,7 +149,7 @@ def test_tridiag_in_polynomial_ring_reproduces_beta():
     c = Polynomial((-1, 0, -1))
     for n in range(1, 40):
         det = tridiag_det(a, b, c, n)
-        assert det == build(SequenceKind.BETA, n, BuildMethod.DETERMINANT)
+        assert det == build(SequenceKind.BETA, n)
 
 
 def test_pell_type_identity():

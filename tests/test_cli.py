@@ -52,6 +52,13 @@ def test_poly_invalid_pair_exits_2(capsys):
     assert "monic-bernoulli" in err and "beta" in err
 
 
+def test_poly_determinant_method_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["poly", "--kind", "beta", "--n", "3", "--method", "determinant"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_deriv_examples(capsys):
     code, out, _ = run_cli(capsys, "deriv", "--func", "arctan", "--n", "3", "--x", "0")
     assert code == 0
@@ -96,6 +103,17 @@ def test_verify_cross_trivial(capsys):
 def test_verify_hessenberg(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "hessenberg", "--max-n", "8")
     assert code == 0
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_verify_rejects_hessenberg_cap_below_one(capsys, cap):
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", "hessenberg", "--max-n", "5", "--hessenberg-cap", cap
+    )
+    assert code == 2
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "hessenberg cap" in lines[0]
 
 
 def test_verify_json_shape(capsys):
@@ -166,6 +184,14 @@ def test_connect_tan(capsys):
     code, out, _ = run_cli(capsys, "connect", "--what", "tan", "--n", "1")
     assert code == 0
     assert out.strip() == "(x) / (1)  [odd n]"
+
+
+def test_connect_tan_rejects_a_method(capsys):
+    code, out, err = run_cli(capsys, "connect", "--what", "tan", "--n", "3", "--method", "bogus")
+    assert code == 2
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 def test_connect_fibonacci_with_argument(capsys):

@@ -92,17 +92,46 @@ def test_cross_validation_trivial_size():
 
 
 def test_single_builds_match_sequence_builds():
-    for kind, methods in (
-        (SequenceKind.BETA, BuildMethod),
-        (SequenceKind.ALPHA, BuildMethod),
-    ):
-        for method in methods:
-            try:
-                seq = build_sequence(kind, 12, method)
-            except UnsupportedPairError:
-                continue
-            for n in (0, 1, 7, 12):
-                assert build(kind, n, method) == seq[n]
+    for kind in SequenceKind:
+        for method in SUPPORTED_METHODS[kind]:
+            seq = build_sequence(kind, 150, method)
+            for n in (0, 1, 2, 7, 12, 17, 150):
+                single = build(kind, n, method)
+                assert single == seq[n], (kind, method, n)
+                assert [type(c) for c in single.coefficients] == [
+                    type(c) for c in seq[n].coefficients
+                ], (kind, method, n)
+
+
+def test_no_cached_route_is_an_alias_of_another():
+    # a route equal to another (same seed, step, wrap and window) computes
+    # the same thing, and its cross-check rows would compare it with itself
+    for kind in SequenceKind:
+        routes = [route for (k, _), route in fam._ROUTES.items() if k is kind]
+        for i, a in enumerate(routes):
+            assert all(a != b for b in routes[i + 1 :]), kind
+
+
+def test_cross_validation_names_the_first_differing_coefficient(monkeypatch):
+    from arctanpoly.checks import suite_cross
+
+    def wrong_beta(n):
+        raw = fam._beta_explicit(n)
+        if n == 3:
+            raw[1] = 5  # beta_3 = 4x^3 - 4x
+        return raw
+
+    monkeypatch.setitem(fam._MEMBERS, (SequenceKind.BETA, BuildMethod.EXPLICIT), wrong_beta)
+    report = cross_validate(SequenceKind.BETA, 5)
+    assert not report.passed
+    assert report.failure == (3, BuildMethod.RECURRENCE, BuildMethod.EXPLICIT, False)
+    expected = "first difference at x^1: recurrence gives -4, explicit gives 5"
+    assert report.detail == expected
+    assert report.summary().endswith(expected)
+    failed = [row for row in suite_cross(5) if not row.passed]
+    assert [(row.check, row.n, row.detail) for row in failed] == [
+        ("beta[recurrence==explicit]", 3, expected)
+    ]
 
 
 def test_values_match_gaussian_integer_powers():
@@ -215,7 +244,6 @@ def test_bernoulli_index_one_never_consumed(monkeypatch):
         return real_bernoulli(n)
 
     monkeypatch.setattr(fam, "bernoulli", spy)
-    monkeypatch.setattr(hes, "bernoulli", spy)
     monkeypatch.setattr(fam, "_prefix_cache", {})  # force the routes to run
     build_sequence(SequenceKind.MONIC_PI, 15, BuildMethod.MONIC_BERNOULLI)
     build_sequence(SequenceKind.ALPHA, 15, BuildMethod.MONIC_BERNOULLI)
@@ -259,7 +287,6 @@ def test_fraction_free_bernoulli_matches_fraction_loop(kind, coeff):
 
 CACHED_METHODS = {
     BuildMethod.RECURRENCE,
-    BuildMethod.DETERMINANT,
     BuildMethod.MONIC_BERNOULLI,
     BuildMethod.DERIVATIVE_RECURRENCE,
 }
@@ -385,8 +412,6 @@ def test_three_term_step_matches_loop(kind, seed):
     [
         (SequenceKind.BETA, BuildMethod.RECURRENCE),
         (SequenceKind.ALPHA, BuildMethod.RECURRENCE),
-        (SequenceKind.BETA, BuildMethod.DETERMINANT),
-        (SequenceKind.ALPHA, BuildMethod.DETERMINANT),
     ],
 )
 def test_integer_three_term_routes_hand_out_canonical_ints(monkeypatch, kind, method):
