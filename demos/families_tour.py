@@ -32,7 +32,8 @@ print("""
 The same family member can be built by a three-term recurrence, an explicit
 binomial sum, powers of x+i, powers of a 2x2 polynomial matrix, terminating
 hypergeometric sums, Bernoulli-weighted monic recurrences, or a derivative
-recursion.
+recursion. The explicit sum takes each binomial directly from math.comb; the
+hypergeometric sum steps from term to term by the integer 2F1 term ratio.
 """)
 n_show = 7
 for method in BuildMethod:

@@ -325,7 +325,9 @@ def suite_connections(max_n: int) -> list[CheckRow]:
 
 
 def run_suite(name: str, max_n: int, hessenberg_cap: int = HESSENBERG_CAP) -> list[CheckRow]:
-    _check_hessenberg_cap(hessenberg_cap)  # before any suite runs
+    if max_n < 0:
+        raise ValueError(f"max-n must be non-negative, got {max_n}")
+    _check_hessenberg_cap(hessenberg_cap)  # both before any suite runs
     if name == "all":
         rows = []
         for suite in SUITE_NAMES:

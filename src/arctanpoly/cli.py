@@ -1,12 +1,14 @@
 """Command-line surface: builders, derivative evaluation, verification suites,
 series tables, pi approximation, root listings and the classical bridges.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
+Exit codes: 0 success, 1 verification failure, 2 usage or domain error,
+141 (128 + SIGPIPE) when the reader closes the output pipe early.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -21,6 +23,7 @@ from .poly import Polynomial
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
+EXIT_BROKEN_PIPE = 141
 
 
 def _decimal(value, digits: int = 12) -> str:
@@ -158,7 +161,10 @@ def _cmd_series(args) -> int:
 
 def _cmd_pi(args) -> int:
     kind = series.SeriesKind.EULER if args.method == "euler" else series.SeriesKind.BETA_EXPANSION
-    value, terms = series.pi_approx(kind, args.tol)
+    tol = float(args.tol)
+    if tol == 0 and any(d in args.tol.lower().partition("e")[0] for d in "123456789"):
+        raise ValueError(f"--tol {args.tol} underflows to 0")
+    value, terms = series.pi_approx(kind, tol)
     print(f"{value:.10f} ({terms} terms)")
     return EXIT_OK
 
@@ -248,7 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pi = sub.add_parser("pi", help="approximate pi from a series at x = 1")
     p_pi.add_argument("--method", required=True, choices=["euler", "beta"])
-    p_pi.add_argument("--tol", required=True, type=float)
+    # parsed by the handler, so an underflowing literal is named as given
+    p_pi.add_argument("--tol", required=True)
     p_pi.set_defaults(handler=_cmd_pi)
 
     p_roots = sub.add_parser("roots", help="closed-form zeros with certificates")
@@ -281,7 +288,14 @@ def main(argv: list[str] | None = None) -> int:
     if saved is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # the reader has gone; point stdout at devnull so the interpreter's
+        # final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (
         UnsupportedPairError,
         calculus.PoleError,

@@ -13,7 +13,10 @@ Every family can be built by several independent routes (three-term
 recurrence, explicit binomial sums, complex powers, 2x2 matrix powers,
 Bernoulli-weighted monic recurrences, terminating hypergeometric sums,
 derivative recursions) and the routes are cross-checked coefficient by
-coefficient.
+coefficient.  The explicit sums take each binomial directly from
+``math.comb``; the hypergeometric sums step from term to term by the
+integer form of the 2F1 term ratio, so the two binomial routes share no
+arithmetic.
 """
 from __future__ import annotations
 
@@ -45,21 +48,6 @@ class BuildMethod(Enum):
     HYPERGEOMETRIC = "hypergeometric"
     DERIVATIVE_RECURRENCE = "derivative-recurrence"
 
-
-SUPPORTED_METHODS: dict[SequenceKind, frozenset[BuildMethod]] = {
-    SequenceKind.BETA: frozenset(
-        m for m in BuildMethod if m is not BuildMethod.MONIC_BERNOULLI
-    ),
-    SequenceKind.ALPHA: frozenset(
-        m for m in BuildMethod if m is not BuildMethod.DERIVATIVE_RECURRENCE
-    ),
-    SequenceKind.P: frozenset(
-        {BuildMethod.EXPLICIT, BuildMethod.DERIVATIVE_RECURRENCE, BuildMethod.COMPLEX_POWER}
-    ),
-    # pi_n is built either from its own Bernoulli-weighted recurrence or as
-    # the quotient beta_n/(n+1) on top of the beta recurrence.
-    SequenceKind.MONIC_PI: frozenset({BuildMethod.MONIC_BERNOULLI, BuildMethod.RECURRENCE}),
-}
 
 DEFAULT_METHOD: dict[SequenceKind, BuildMethod] = {
     SequenceKind.BETA: BuildMethod.RECURRENCE,
@@ -98,15 +86,26 @@ def _three_term_step(cur: list, prev: list) -> list:
 # per-n builders
 # ---------------------------------------------------------------------------
 
-# The explicit builders place signed binomial rows on every other
-# coefficient, from x^n down.  Each binomial comes from the one before it by
-# the exact integer ratio C(N, m+2) = C(N, m) (N-m)(N-m-1) / ((m+1)(m+2)),
-# with any constant factor carried in the running value, so a coefficient
-# costs one multiply and one exact division by small ints rather than a
-# binomial (or a big product) from scratch.
+# The two binomial routes put (-1)^k C(top, m+2k) on x^(n-2k), k = 0..n//2,
+# and compute it independently: the explicit sum by math.comb per
+# coefficient, the hypergeometric sum by its term ratio.
+
+def _binomial_row(n: int, top: int, m: int) -> list:
+    out = [0] * (n + 1)
+    out[n::-2] = [(-1) ** k * comb(top, m + 2 * k) for k in range(n // 2 + 1)]
+    return out
+
 
 def _signed_row(n: int, top: int, m: int, scale: int = 1) -> list:
-    """n+1 coefficients: (-1)^k scale C(top, m+2k) on x^(n-2k), k = 0..n//2, else 0."""
+    """The binomial row times ``scale``, each term from the one before it.
+
+    This is (n+1) x^n 2F1(a, b; 3/2; -1/x^2) = beta_n (top = n+1, m = 1) or
+    x^n 2F1(a, b; 1/2; -1/x^2) = alpha_n (top = n, m = 0), a = -n/2,
+    b = (1-n)/2; the sum terminates at k = n//2, and term k lands on x^(n-2k).
+    A step is the term ratio (a+k)(b+k)/((c+k)(k+1)) in its integer form
+    C(top, m+2) = C(top, m) (top-m)(top-m-1) / ((m+1)(m+2)), one multiply and
+    one exact division by small ints.
+    """
     out = [0] * (n + 1)
     row = []
     b = scale * comb(top, m)
@@ -118,16 +117,6 @@ def _signed_row(n: int, top: int, m: int, scale: int = 1) -> list:
     row[1::2] = map(neg, row[1::2])
     out[n::-2] = row
     return out
-
-
-def _beta_explicit(n: int) -> list:
-    # beta_n = sum_k (-1)^k C(n+1, 2k+1) x^(n-2k)
-    return _signed_row(n, n + 1, 1)
-
-
-def _alpha_explicit(n: int) -> list:
-    # alpha_n = sum_k (-1)^k C(n, 2k) x^(n-2k)
-    return _signed_row(n, n, 0)
 
 
 def _p_factor(n: int) -> int:
@@ -142,27 +131,6 @@ def _p_explicit(n: int) -> list:
 def _p_from_beta(raw: list, n: int) -> list:
     factor = _p_factor(n)
     return [factor * c for c in raw]
-
-
-def _beta_hypergeometric(n: int) -> list:
-    # (n+1) x^n 2F1(-n/2, (1-n)/2; 3/2; -1/x^2); the sum terminates at
-    # k = floor(n/2) and each term lands on the x^(n-2k) coefficient.
-    return _hypergeometric_family(n, Fraction(3, 2), n + 1)
-
-
-def _alpha_hypergeometric(n: int) -> list:
-    return _hypergeometric_family(n, Fraction(1, 2), 1)
-
-
-def _hypergeometric_family(n: int, c: Fraction, lead: int) -> list:
-    a = Fraction(-n, 2)
-    b = Fraction(1 - n, 2)
-    out = [Fraction(0)] * (n + 1)
-    term = Fraction(1)
-    for k in range(n // 2 + 1):
-        out[n - 2 * k] = lead * (-1) ** k * term
-        term = term * (a + k) * (b + k) / ((c + k) * (k + 1))
-    return out
 
 
 def _cmul(p, q):
@@ -220,16 +188,23 @@ def _alpha_ze_coeff(n: int, j: int, bracket=bracket) -> Fraction:
 
 # Single members of the uncached routes, as raw coefficient lists.
 _MEMBERS: dict[tuple[SequenceKind, BuildMethod], Callable[[int], list]] = {
-    (SequenceKind.BETA, BuildMethod.EXPLICIT): _beta_explicit,
-    (SequenceKind.ALPHA, BuildMethod.EXPLICIT): _alpha_explicit,
+    # direct binomials, one math.comb call per coefficient
+    (SequenceKind.BETA, BuildMethod.EXPLICIT): lambda n: _binomial_row(n, n + 1, 1),
+    (SequenceKind.ALPHA, BuildMethod.EXPLICIT): lambda n: _binomial_row(n, n, 0),
+    # term ratio: P has no second binomial route to cross-check, and single
+    # derivatives build it at n in the thousands, where math.comb per
+    # coefficient costs several times as much
     (SequenceKind.P, BuildMethod.EXPLICIT): _p_explicit,
-    (SequenceKind.BETA, BuildMethod.HYPERGEOMETRIC): _beta_hypergeometric,
-    (SequenceKind.ALPHA, BuildMethod.HYPERGEOMETRIC): _alpha_hypergeometric,
+    # the 2F1 term ratio, in integers
+    (SequenceKind.BETA, BuildMethod.HYPERGEOMETRIC): lambda n: _signed_row(n, n + 1, 1),
+    (SequenceKind.ALPHA, BuildMethod.HYPERGEOMETRIC): lambda n: _signed_row(n, n, 0),
+    # binary powering of x + i
     (SequenceKind.BETA, BuildMethod.COMPLEX_POWER): lambda n: _complex_pair_pow(n + 1)[1],
     (SequenceKind.ALPHA, BuildMethod.COMPLEX_POWER): lambda n: _complex_pair_pow(n)[0],
     (SequenceKind.P, BuildMethod.COMPLEX_POWER): lambda n: _p_from_beta(
         _complex_pair_pow(n + 1)[1], n
     ),
+    # binary powering of the 2x2 step matrix
     (SequenceKind.BETA, BuildMethod.MATRIX_POWER): lambda n: _family_from_matrix_power(n, [0, 2]),
     (SequenceKind.ALPHA, BuildMethod.MATRIX_POWER): lambda n: _family_from_matrix_power(n, [0, 1]),
 }
@@ -382,6 +357,12 @@ _ROUTES: dict[tuple[SequenceKind, BuildMethod], _Route] = {
     (SequenceKind.BETA, BuildMethod.DERIVATIVE_RECURRENCE): _Route(
         ([1],), _beta_derivative_step, window=1
     ),
+}
+
+
+# The supported (kind, method) pairs are exactly the keys of the two tables.
+SUPPORTED_METHODS: dict[SequenceKind, frozenset[BuildMethod]] = {
+    kind: frozenset(m for k, m in (*_MEMBERS, *_ROUTES) if k is kind) for kind in SequenceKind
 }
 
 

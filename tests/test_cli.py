@@ -116,6 +116,15 @@ def test_verify_rejects_hessenberg_cap_below_one(capsys, cap):
     assert len(lines) == 1 and lines[0].startswith("error:") and "hessenberg cap" in lines[0]
 
 
+@pytest.mark.parametrize("suite, max_n", [("series", "-3"), ("cross", "-1")])
+def test_verify_rejects_negative_max_n(capsys, suite, max_n):
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--max-n", max_n)
+    assert code == 2
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert lines == [f"error: max-n must be non-negative, got {max_n}"]
+
+
 def test_verify_json_shape(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--suite", "cross", "--max-n", "2", "--format", "json"
@@ -166,6 +175,13 @@ def test_pi_rejects_non_finite_or_zero_tolerance(capsys, tol):
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+def test_pi_names_a_tolerance_literal_that_underflows(capsys):
+    code, out, err = run_cli(capsys, "pi", "--method", "euler", "--tol", "1e-400")
+    assert code == 2
+    assert out == ""
+    assert err.strip().splitlines() == ["error: --tol 1e-400 underflows to 0"]
+
+
 def test_roots_command(capsys):
     code, out, _ = run_cli(capsys, "roots", "--kind", "beta", "--n", "2")
     assert code == 0
@@ -214,6 +230,29 @@ def test_console_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "3x^2 - 1"
+
+
+def test_closed_output_pipe_exits_141_quietly():
+    # the output (about 200 kB) is larger than a pipe buffer, so the writer
+    # is still printing when the reader closes its end
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "arctanpoly.cli", "verify", "--suite", "cross", "--max-n", "60",
+         "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        bufsize=0,
+    )
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert head == b'[{"suite":'
+    assert code == 141
+    assert err == b""
 
 
 @pytest.mark.parametrize("precision", ["0", "-5"])

@@ -112,11 +112,29 @@ def test_no_cached_route_is_an_alias_of_another():
             assert all(a != b for b in routes[i + 1 :]), kind
 
 
+def _raise(*args):
+    raise AssertionError("this kernel must not run")
+
+
+@pytest.mark.parametrize(
+    "disabled, method",
+    [("_signed_row", BuildMethod.EXPLICIT), ("_binomial_row", BuildMethod.HYPERGEOMETRIC)],
+)
+@pytest.mark.parametrize("kind", [SequenceKind.BETA, SequenceKind.ALPHA])
+def test_binomial_routes_share_no_kernel(monkeypatch, disabled, method, kind):
+    # The explicit and hypergeometric rows of the cross suite are evidence
+    # only if each route still builds with the other's kernel switched off.
+    expected = build_sequence(kind, 40, BuildMethod.RECURRENCE)
+    monkeypatch.setattr(fam, disabled, _raise)
+    assert build_sequence(kind, 40, method) == expected
+    assert build(kind, 41, method) == build(kind, 41, BuildMethod.RECURRENCE)
+
+
 def test_cross_validation_names_the_first_differing_coefficient(monkeypatch):
     from arctanpoly.checks import suite_cross
 
     def wrong_beta(n):
-        raw = fam._beta_explicit(n)
+        raw = fam._binomial_row(n, n + 1, 1)
         if n == 3:
             raw[1] = 5  # beta_3 = 4x^3 - 4x
         return raw
@@ -371,8 +389,16 @@ def _comb_p(n):
 @pytest.mark.parametrize(
     "builder, oracle",
     [
-        (fam._beta_explicit, _comb_beta),
-        (fam._alpha_explicit, _comb_alpha),
+        pytest.param(
+            fam._MEMBERS[(SequenceKind.BETA, BuildMethod.HYPERGEOMETRIC)],
+            _comb_beta,
+            id="beta-hypergeometric",
+        ),
+        pytest.param(
+            fam._MEMBERS[(SequenceKind.ALPHA, BuildMethod.HYPERGEOMETRIC)],
+            _comb_alpha,
+            id="alpha-hypergeometric",
+        ),
         (fam._p_explicit, _comb_p),
     ],
 )
