@@ -14,9 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-import mpmath
-
-from . import families
+from . import families, highprec
 from .families import BuildMethod, SequenceKind
 from .highprec import (
     DEFAULT_PRECISION,
@@ -24,6 +22,7 @@ from .highprec import (
     certify_simple_root,
     check_precision,
     cot_node,
+    mpf,
     mpf_to_fraction,
     prepare,
     to_mpf,
@@ -62,16 +61,16 @@ def chebyshev_derivative_form(n: int, x: Fraction, precision_bits: int = DEFAULT
         raise ValueError("derivative order must be >= 1")
     with workprec(precision_bits):
         t = to_mpf(Fraction(x))
-        s = mpmath.sqrt(1 + t * t)
+        s = highprec.sqrt(1 + t * t)
         z = -t / s
-        u_prev, u_cur = mpmath.mpf(1), 2 * z
+        u_prev, u_cur = mpf(1), 2 * z
         if n - 1 == 0:
             u = u_prev
         else:
             for _ in range(n - 2):
                 u_prev, u_cur = u_cur, 2 * z * u_cur - u_prev
             u = u_cur
-        return mpmath.factorial(n - 1) / s ** (n + 1) * u
+        return highprec.factorial(n - 1) / s ** (n + 1) * u
 
 
 def finite_difference_derivative(
@@ -93,14 +92,14 @@ def finite_difference_derivative(
         x0 = to_mpf(Fraction(x))
 
         def central(h):
-            acc = mpmath.mpf(0)
+            acc = mpf(0)
             for j in range(n + 1):
-                offset = mpmath.mpf(n) / 2 - j
-                sample = mpmath.atan(x0 + offset * h)
-                acc += (-1) ** j * mpmath.binomial(n, j) * sample
+                offset = mpf(n) / 2 - j
+                sample = highprec.atan(x0 + offset * h)
+                acc += (-1) ** j * highprec.binomial(n, j) * sample
             return acc / h**n
 
-        h = mpmath.mpf(2) ** (-step_exponent)
+        h = mpf(2) ** (-step_exponent)
         coarse = central(h)
         fine = central(h / 2)
         return (4 * fine - coarse) / 3

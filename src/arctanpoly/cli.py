@@ -12,12 +12,10 @@ import os
 import sys
 from fractions import Fraction
 
-import mpmath
-
 from . import calculus, checks, connections, families, series
 from .exact import format_rational, parse_rational
 from .families import BuildMethod, SequenceKind, UnsupportedPairError
-from .highprec import to_mpf, workprec
+from .highprec import DEFAULT_PRECISION, MAX_PRECISION, nstr, to_mpf, workprec
 from .poly import Polynomial
 
 EXIT_OK = 0
@@ -28,7 +26,7 @@ EXIT_BROKEN_PIPE = 141
 
 def _decimal(value, digits: int = 12) -> str:
     with workprec(96):
-        return mpmath.nstr(to_mpf(Fraction(value)), digits)
+        return nstr(to_mpf(Fraction(value)), digits)
 
 
 def _parse_poly_arg(text: str) -> Polynomial:
@@ -175,7 +173,7 @@ def _cmd_roots(args) -> int:
     with workprec(args.precision):
         for record in rs.roots:
             mark = "certified" if record.certified else "NOT CERTIFIED"
-            print(f"k={record.index}: {record.closed_form} = {mpmath.nstr(record.value, 20)} [{mark}]")
+            print(f"k={record.index}: {record.closed_form} = {nstr(record.value, 20)} [{mark}]")
     return EXIT_OK if rs.all_certified else EXIT_VERIFY_FAILED
 
 
@@ -261,7 +259,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_roots = sub.add_parser("roots", help="closed-form zeros with certificates")
     p_roots.add_argument("--kind", required=True, choices=["beta", "alpha"])
     p_roots.add_argument("--n", required=True, type=int)
-    p_roots.add_argument("--precision", type=int, default=128)
+    p_roots.add_argument(
+        "--precision",
+        type=int,
+        default=DEFAULT_PRECISION,
+        help=f"working precision in bits, 1 to {MAX_PRECISION}",
+    )
     p_roots.set_defaults(handler=_cmd_roots)
 
     p_connect = sub.add_parser("connect", help="classical polynomial bridges")

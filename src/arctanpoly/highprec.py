@@ -1,8 +1,14 @@
-"""High-precision float helpers on top of mpmath.
+"""High-precision float helpers on top of mpmath: the package's only float gateway.
 
 Everything irrational in this package (cot nodes, reference arctan values,
-root certificates) runs through here, under explicit working precisions so
-the exact-arithmetic modules never touch machine floats.
+root certificates, series error columns, decimal renderings) runs through
+here, under explicit working precisions, so the exact-arithmetic modules
+never touch machine floats.  No other module imports mpmath.
+
+mpmath is imported on the first call that needs it, not with the package,
+so the exact commands (``poly``, ``deriv`` in text form, ``connect``) never
+load it.  Each helper pays one global lookup for the loaded module per call
+and nothing per coefficient.
 
 Root certification evaluates one polynomial at many nodes.  ``prepare``
 rounds its exact coefficients to mpf once, at the working precision, and
@@ -16,33 +22,79 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-from mpmath.libmp import fzero, mpf_add, mpf_mul, round_nearest
-
 DEFAULT_PRECISION = 128  # bits
+# About 19,700 decimal digits.  Past it one cot node costs seconds: beta_3's
+# roots take about 2 s at 65536 bits and 10 s at 131072 on a 2-vCPU host.
+MAX_PRECISION = 65536  # bits
 
-workprec = mpmath.workprec
+_mpmath = None  # the mpmath module, once a helper has needed it
+
+
+def _load():
+    global _mpmath
+    import mpmath
+
+    _mpmath = mpmath
+    return mpmath
+
+
+def workprec(precision_bits: int):
+    """Context manager running its body at ``precision_bits`` bits."""
+    return (_mpmath or _load()).workprec(precision_bits)
 
 
 def check_precision(precision_bits: int) -> None:
-    """Reject a working precision below one bit, which mpmath does not refuse."""
+    """Reject a working precision outside 1..MAX_PRECISION bits; mpmath refuses neither end."""
     if precision_bits < 1:
         raise ValueError(f"precision must be at least 1 bit, got {precision_bits}")
+    if precision_bits > MAX_PRECISION:
+        raise ValueError(f"precision must be at most {MAX_PRECISION} bits, got {precision_bits}")
 
 
 def to_mpf(value):
     """int or Fraction to mpf under the current working precision."""
+    mpf = (_mpmath or _load()).mpf
     num, den = value.numerator, value.denominator
-    return mpmath.mpf(num) if den == 1 else mpmath.mpf(num) / den
+    return mpf(num) if den == 1 else mpf(num) / den
+
+
+def mpf(value):
+    """mpmath's ``mpf(value)`` for an int, float, string or mpf."""
+    return (_mpmath or _load()).mpf(value)
 
 
 def mpf_to_fraction(value) -> Fraction:
     """Exact rational value of an mpf (every finite mpf is dyadic)."""
-    sign, man, exp, _ = mpmath.mpf(value)._mpf_
+    sign, man, exp, _ = (_mpmath or _load()).mpf(value)._mpf_
     if man == 0 and exp != 0:
         raise ValueError("cannot convert a non-finite value to a fraction")
     signed = -man if sign else man
     return Fraction(signed) * Fraction(2) ** exp
+
+
+def sqrt(x):
+    """Square root under the current precision."""
+    return (_mpmath or _load()).sqrt(x)
+
+
+def atan(x):
+    """arctan of an mpf under the current precision."""
+    return (_mpmath or _load()).atan(x)
+
+
+def factorial(n):
+    """n! as an mpf under the current precision."""
+    return (_mpmath or _load()).factorial(n)
+
+
+def binomial(n, k):
+    """C(n, k) as an mpf under the current precision."""
+    return (_mpmath or _load()).binomial(n, k)
+
+
+def nstr(x, digits: int) -> str:
+    """``x`` rendered with ``digits`` significant digits, as mpmath prints it."""
+    return (_mpmath or _load()).nstr(x, digits)
 
 
 @dataclass(frozen=True)
@@ -63,6 +115,8 @@ def prepare(poly) -> PreparedPoly:
 
     Zero coefficients stay exact zeros without a conversion.
     """
+    mpmath = _mpmath or _load()
+    fzero = mpmath.libmp.fzero
     coeffs = tuple(to_mpf(c)._mpf_ if c else fzero for c in reversed(poly.coefficients))
     return PreparedPoly(mpmath.mp.prec, coeffs)
 
@@ -77,6 +131,10 @@ def eval_poly(poly, t):
     """
     if not isinstance(poly, PreparedPoly):
         poly = prepare(poly)
+    mpmath = _mpmath or _load()
+    libmp = mpmath.libmp
+    fzero, mpf_add, mpf_mul = libmp.fzero, libmp.mpf_add, libmp.mpf_mul
+    round_nearest = libmp.round_nearest
     prec = mpmath.mp.prec
     if poly.prec != prec:
         raise ValueError(f"polynomial prepared at {poly.prec} bits, evaluated at {prec}")
@@ -91,13 +149,14 @@ def eval_poly(poly, t):
 
 def cot_node(k: int, m: int):
     """cot(k*pi/m) under the current working precision."""
+    mpmath = _mpmath or _load()
     return mpmath.cot(mpmath.pi * k / m)
 
 
 def atan_reference(x: Fraction, precision_bits: int = 256):
     """Reference arctan of an exact rational, as an mpf."""
     with workprec(precision_bits):
-        return mpmath.atan(to_mpf(x))
+        return atan(to_mpf(x))
 
 
 @dataclass(frozen=True)

@@ -20,11 +20,9 @@ from enum import Enum
 from fractions import Fraction
 from math import comb, isfinite
 
-import mpmath
-
 from .exact import format_rational
 from .families import SequenceKind, family_values
-from .highprec import atan_reference, mpf_to_fraction, to_mpf, workprec
+from .highprec import atan_reference, mpf, mpf_to_fraction, to_mpf, workprec
 
 EXACT_TERM_LIMIT = 500  # rational partial sums beyond this switch to mpf
 SLOW_CONVERGENCE_BOUND = Fraction(4)
@@ -127,11 +125,11 @@ def partial_sum(kind: SeriesKind, x: Fraction, terms: int) -> SeriesReport:
         exact_terms=min(terms, EXACT_TERM_LIMIT),
     )
     with workprec(ERROR_TRACKING_BITS):
-        target = mpmath.atan(to_mpf(x))
+        target = atan_reference(x, ERROR_TRACKING_BITS)
         report.target = float(target)
         stream = _term_stream(kind, x)
         acc: Fraction | None = Fraction(0)
-        acc_mpf = mpmath.mpf(0)
+        acc_mpf = mpf(0)
         for n in range(terms):
             term = next(stream)
             if n < EXACT_TERM_LIMIT:
@@ -159,8 +157,8 @@ def _tail_bound_at_one(kind: SeriesKind, n: int, latest_term: Fraction):
     """
     if kind is SeriesKind.EULER:
         return to_mpf(abs(latest_term))
-    envelope = mpmath.mpf(2) ** (-(n + 2) / 2.0)
-    return envelope / ((n + 2) * (1 - mpmath.mpf(2) ** -0.5))
+    envelope = mpf(2) ** (-(n + 2) / 2.0)
+    return envelope / ((n + 2) * (1 - mpf(2) ** -0.5))
 
 
 def _check_tolerance(tolerance: float) -> None:
@@ -207,12 +205,12 @@ def compare_series(x: Fraction, tolerance: float, max_terms: int = 2000) -> list
     x = Fraction(x)
     out = []
     with workprec(ERROR_TRACKING_BITS):
-        target = mpmath.atan(to_mpf(x))
+        target = atan_reference(x, ERROR_TRACKING_BITS)
         for kind in SeriesKind:
             stream = _term_stream(kind, x)
             acc = Fraction(0)
             used = None
-            err = mpmath.mpf("inf")
+            err = mpf("inf")
             for n in range(max_terms):
                 acc += next(stream)
                 err = abs(to_mpf(acc) - target)

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from arctanpoly.cli import main
+from arctanpoly.highprec import MAX_PRECISION
 
 
 def run_cli(capsys, *argv):
@@ -103,6 +104,20 @@ def test_verify_cross_trivial(capsys):
 def test_verify_hessenberg(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "hessenberg", "--max-n", "8")
     assert code == 0
+
+
+@pytest.mark.parametrize("max_n", [0, 1, 4, 12])
+def test_verify_hessenberg_stays_within_max_n(capsys, max_n):
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "hessenberg", "--max-n", str(max_n), "--format", "json"
+    )
+    assert code == 0
+    ns = [row["n"] for row in json.loads(out)]
+    assert max(ns, default=0) == max_n
+    if max_n == 0:
+        assert ns == []
+        _, text, _ = run_cli(capsys, "verify", "--suite", "hessenberg", "--max-n", "0")
+        assert text == "0/0 checks passed\n"
 
 
 @pytest.mark.parametrize("cap", ["0", "-1"])
@@ -264,6 +279,18 @@ def test_roots_rejects_precision_below_one_bit(capsys, precision):
     assert out == ""
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_roots_precision_cap_boundary(capsys):
+    top = str(MAX_PRECISION)
+    code, out, err = run_cli(capsys, "roots", "--kind", "alpha", "--n", "1", "--precision", top)
+    assert code == 0 and err == ""
+    assert out.startswith("k=1: cot(1*pi/2) = ") and out.endswith(" [certified]\n")
+    over = str(MAX_PRECISION + 1)
+    code, out, err = run_cli(capsys, "roots", "--kind", "beta", "--n", "3", "--precision", over)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: precision must be at most {top} bits, got {over}"]
 
 
 @contextlib.contextmanager

@@ -11,11 +11,13 @@ from arctanpoly.connections import (
     GraphKind,
     MatchingMethod,
     SizeLimitError,
+    TanRatio,
     fibonacci_poly,
     lucas_poly,
     matching_poly,
     tan_multiple,
 )
+from arctanpoly.checks import _tan_multiple_matches, suite_connections
 from arctanpoly.families import BuildMethod, SequenceKind, build
 from arctanpoly.highprec import to_mpf, workprec
 from arctanpoly.poly import Polynomial
@@ -58,6 +60,47 @@ def test_tan_multiple_matches_tan_numerically():
                 exact = to_mpf(Fraction(ratio.numerator.evaluate(pt))) / to_mpf(Fraction(den))
                 direct = mpmath.tan(n * mpmath.atan(to_mpf(pt)))
                 assert abs(exact - direct) < mpmath.mpf("1e-10")
+
+
+def test_exact_tan_check_accepts_true_ratios_and_poles():
+    for n in range(1, 31):
+        ratio = tan_multiple(n)
+        for num in range(-12, 13):
+            assert _tan_multiple_matches(ratio, n, Fraction(num, 4))
+    # tan(2 arctan 1) is a pole: alpha_2(1) = 0 and (1 + i)^2 = 2i
+    assert tan_multiple(2).denominator.evaluate(Fraction(1)) == 0
+    assert _tan_multiple_matches(tan_multiple(2), 2, Fraction(1))
+
+
+def test_exact_tan_check_rejects_wrong_ratios():
+    x = Fraction(-3, 7)
+    ratio = tan_multiple(5)
+    swapped = TanRatio(ratio.denominator, ratio.numerator, ratio.parity)
+    negated = TanRatio(-ratio.numerator, ratio.denominator, ratio.parity)
+    # a common factor vanishing at x leaves 0 == 0 cross-multiplied, but
+    # puts a pole where tan(5 arctan x) is finite
+    factor = Polynomial((-x, 1))
+    padded = TanRatio(factor * ratio.numerator, factor * ratio.denominator, ratio.parity)
+    assert _tan_multiple_matches(ratio, 5, x)
+    for wrong in (swapped, negated, padded):
+        assert not _tan_multiple_matches(wrong, 5, x)
+    assert not _tan_multiple_matches(ratio, 4, x)
+
+
+def test_verify_connections_flags_a_wrong_tan_ratio(monkeypatch):
+    import arctanpoly.connections as connections_module
+
+    def wrong_at_three(n):
+        ratio = tan_multiple(n)
+        if n != 3:
+            return ratio
+        return TanRatio(ratio.numerator + Polynomial((0, 0, 0, 1)), ratio.denominator, ratio.parity)
+
+    monkeypatch.setattr(connections_module, "tan_multiple", wrong_at_three)
+    rows = [row for row in suite_connections(5) if row.check == "tan-multiple-spot"]
+    assert [row.n for row in rows] == [1, 2, 3, 4, 5]
+    assert [row.n for row in rows if not row.passed] == [3]
+    assert rows[2].detail.startswith("differs from Im/Re((1+ix)^3) at x=")
 
 
 def test_tan_alternative_forms_exact():
