@@ -274,7 +274,7 @@ def suite_connections(max_n: int) -> list[CheckRow]:
     x = Polynomial.x()
     arguments = (x, 2 * x, Polynomial((1, 0, 1)))
     for h in arguments:
-        for n in range(1, 13):
+        for n in range(1, min(max_n, 12) + 1):
             fib_ok = connections.fibonacci_poly(
                 n, h, connections.FibonacciMethod.RECURRENCE_ORACLE
             ) == connections.fibonacci_poly(n, h, connections.FibonacciMethod.CLOSED_FORM)

@@ -99,10 +99,13 @@ def _cmd_verify(args) -> int:
             )
         )
     elif args.format == "csv":
-        print("suite,check,n,passed,detail")
+        import csv  # only this format needs it; keep it off every other command's start
+
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(("suite", "check", "n", "passed", "detail"))
         for r in rows:
             n_text = "" if r.n is None else str(r.n)
-            print(f"{r.suite},{r.check},{n_text},{'pass' if r.passed else 'FAIL'},{r.detail}")
+            writer.writerow((r.suite, r.check, n_text, "pass" if r.passed else "FAIL", r.detail))
     else:
         groups: dict[tuple[str, str], list[checks.CheckRow]] = {}
         for r in rows:

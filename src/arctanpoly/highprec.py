@@ -12,10 +12,11 @@ and nothing per coefficient.
 
 Root certification evaluates one polynomial at many nodes.  ``prepare``
 rounds its exact coefficients to mpf once, at the working precision, and
-``eval_poly`` then runs Horner on the raw mpf values with the same
-``mpf_mul``/``mpf_add`` calls, precision and rounding the mpf operators use,
-so a prepared polynomial evaluates to exactly the bits the per-coefficient
-conversion gives.
+keeps them as signed (mantissa, exponent) integer pairs.  ``eval_poly`` then
+runs Horner as one plain integer loop that rounds after every multiply and
+every add exactly as mpmath's ``mpf_mul``/``mpf_add`` do (correctly, ties to
+even), so it returns the bits of Horner with the mpf operators and the
+per-coefficient conversion, without a library call per step.
 """
 from __future__ import annotations
 
@@ -101,9 +102,12 @@ def nstr(x, digits: int) -> str:
 class PreparedPoly:
     """An exact polynomial with its coefficients rounded to mpf once.
 
-    ``coeffs`` holds raw mpf tuples from the leading coefficient down, the
-    order Horner consumes them; ``prec`` is the precision they were rounded
-    at, and the only one ``eval_poly`` accepts them at.
+    ``coeffs`` runs from the leading coefficient down, the order Horner
+    consumes them.  Each entry is the rounded value as a signed
+    ``(mantissa, exponent)`` pair, ``mantissa * 2**exponent``, which is all
+    ``eval_poly``'s integer loop reads, or ``None`` for an exact zero.
+    ``prec`` is the precision the coefficients were rounded at, and the only
+    one ``eval_poly`` accepts them at.
     """
 
     prec: int
@@ -116,35 +120,96 @@ def prepare(poly) -> PreparedPoly:
     Zero coefficients stay exact zeros without a conversion.
     """
     mpmath = _mpmath or _load()
-    fzero = mpmath.libmp.fzero
-    coeffs = tuple(to_mpf(c)._mpf_ if c else fzero for c in reversed(poly.coefficients))
-    return PreparedPoly(mpmath.mp.prec, coeffs)
+    coeffs = []
+    for c in reversed(poly.coefficients):
+        if c:
+            sign, man, exp, _ = to_mpf(c)._mpf_
+            coeffs.append((-man if sign else man, exp))
+        else:
+            coeffs.append(None)
+    return PreparedPoly(mpmath.mp.prec, tuple(coeffs))
 
 
 def eval_poly(poly, t):
-    """Horner evaluation at an mpf point under the current precision.
+    """Horner evaluation at a finite mpf point under the current precision.
 
     ``poly`` is an exact polynomial, prepared here on every call, or a
-    ``PreparedPoly`` from ``prepare`` at the same precision.  Adding an exact
-    zero to an already rounded value leaves it unchanged, so zero
-    coefficients skip the add.
+    ``PreparedPoly`` from ``prepare`` at the same precision.  The result has
+    exactly the bits of Horner with mpmath's operators, ``acc * t + c`` at
+    every step, but runs as one integer loop over a signed mantissa ``m``
+    and an exponent ``e`` instead of a chain of ``mpf_mul``/``mpf_add``
+    calls.  Each of those calls returns its exact result correctly rounded
+    to the working precision, ties to even, and so does each step here:
+
+    - multiply: ``m *= xm; e += xe`` is exact;
+    - add: align the exponents and add the integers, which is exact;
+    - round: keep ``prec`` bits, ``q = (m + h) >> n`` with ``h`` half the
+      dropped unit, and step back to the even ``q`` on an exact tie.
+
+    Both addends carry at most ``prec + 1`` bits.  When their exponents lie
+    more than ``2 * prec + 2`` apart, the smaller one is under a quarter of
+    the larger one's rounding unit, so the rounded sum is the larger one and
+    the add is skipped; no shift grows past about twice the precision.
+    mpmath strips trailing zero bits from its mantissas, which changes the
+    representation and not the value.  So the loop walks through the same
+    values, and one ``from_man_exp`` at the end gives the same ``_mpf_``.
+
+    Adding an exact zero to an already rounded value leaves it unchanged, so
+    zero coefficients skip the add.  A zero point gives the constant
+    coefficient; an infinite or nan point raises ValueError.
     """
     if not isinstance(poly, PreparedPoly):
         poly = prepare(poly)
     mpmath = _mpmath or _load()
-    libmp = mpmath.libmp
-    fzero, mpf_add, mpf_mul = libmp.fzero, libmp.mpf_add, libmp.mpf_mul
-    round_nearest = libmp.round_nearest
     prec = mpmath.mp.prec
     if poly.prec != prec:
         raise ValueError(f"polynomial prepared at {poly.prec} bits, evaluated at {prec}")
-    x = (t if isinstance(t, mpmath.mpf) else mpmath.mpf(t))._mpf_
-    acc = fzero
+    point = t if isinstance(t, mpmath.mpf) else mpmath.mpf(t)
+    sign, xm, xe, _ = point._mpf_
+    if not xm and xe:
+        raise ValueError(f"cannot evaluate a polynomial at the non-finite point {point}")
+    if sign:
+        xm = -xm
+    far = 2 * prec + 2  # an exponent gap past which the smaller addend cannot count
+    m = e = 0
+    # The rounding is written out after both steps: a call per step would
+    # cost about as much as the step itself.
     for c in poly.coeffs:
-        acc = mpf_mul(acc, x, prec, round_nearest)
-        if c is not fzero:
-            acc = mpf_add(acc, c, prec, round_nearest)
-    return mpmath.mp.make_mpf(acc)
+        m *= xm
+        e += xe
+        n = m.bit_length() - prec
+        if n > 0:
+            h = 1 << (n - 1)
+            q = (m + h) >> n
+            if q & 1 and m & (h + h - 1) == h:
+                q -= 1
+            m = q
+            e += n
+        if c is None:
+            continue
+        cm, ce = c
+        d = e - ce
+        if d > far or d < -far:
+            # the smaller addend is under a quarter of the larger one's
+            # rounding unit, so the rounded sum is the larger one
+            if d < -far or not m:
+                m, e = cm, ce
+            continue
+        if d >= 0:
+            m = (m << d) + cm
+            e = ce
+        else:
+            m += cm << -d
+        n = m.bit_length() - prec
+        if n > 0:
+            h = 1 << (n - 1)
+            q = (m + h) >> n
+            if q & 1 and m & (h + h - 1) == h:
+                q -= 1
+            m = q
+            e += n
+    libmp = mpmath.libmp
+    return mpmath.mp.make_mpf(libmp.from_man_exp(m, e, prec, libmp.round_nearest))
 
 
 def cot_node(k: int, m: int):

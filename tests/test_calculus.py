@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from arctanpoly.calculus import (
     PoleError,
@@ -15,7 +17,7 @@ from arctanpoly.calculus import (
     roots,
     sign_changes_between_roots,
 )
-from arctanpoly.families import BuildMethod, SequenceKind, build
+from arctanpoly.families import BuildMethod, SequenceKind, build, build_sequence
 from arctanpoly.highprec import (
     RootCheck,
     cot_node,
@@ -171,6 +173,87 @@ def test_eval_poly_prepared_and_exact_agree_bit_for_bit():
         expected = _reference_horner(p, t)._mpf_
         assert eval_poly(p, t)._mpf_ == expected
         assert eval_poly(prepare(p), t)._mpf_ == expected
+
+
+def _mpf_chain(coeffs, t):
+    # Horner on raw mpf tuples with mpmath's own rounded operations, the bits
+    # eval_poly must give; coefficients converted once, as prepare does
+    prec = mpmath.mp.prec
+    libmp = mpmath.libmp
+    acc = libmp.fzero
+    for c in coeffs:
+        acc = libmp.mpf_mul(acc, t, prec, libmp.round_nearest)
+        if c is not None:
+            acc = libmp.mpf_add(acc, c, prec, libmp.round_nearest)
+    return acc
+
+
+@pytest.mark.parametrize("precision", [1, 2, 3, 4, 53, 128])
+@pytest.mark.parametrize("kind", [SequenceKind.BETA, SequenceKind.ALPHA])
+def test_eval_poly_matches_mpf_operations_on_every_root_set(kind, precision):
+    members = build_sequence(kind, 150, BuildMethod.RECURRENCE)
+    with workprec(precision):
+        for n in range(1, 151):
+            if kind is SequenceKind.BETA:
+                nodes = {cot_node(k, n + 1)._mpf_ for k in range(1, n + 1)}
+            else:
+                nodes = {cot_node(2 * k - 1, 2 * n)._mpf_ for k in range(1, n + 1)}
+            for p in (members[n], members[n].differentiate()):
+                prepared = prepare(p)
+                coeffs = [to_mpf(c)._mpf_ if c else None for c in reversed(p.coefficients)]
+                for node in nodes:
+                    got = eval_poly(prepared, mpmath.mp.make_mpf(node))._mpf_
+                    assert got == _mpf_chain(coeffs, node), (n, node)
+
+
+coefficients = st.one_of(
+    st.just(0),
+    st.integers(-(10**30), 10**30),
+    st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**12)),
+)
+
+
+@given(
+    st.lists(coefficients, max_size=12).map(Polynomial),
+    st.integers(1, 400),
+    st.integers(-(2**16), 2**16),
+    st.integers(-400, 400),
+)
+def test_eval_poly_matches_reference_horner(p, precision, mantissa, exponent):
+    with workprec(precision):
+        t = mpmath.mpf((mantissa, exponent))
+        assert eval_poly(p, t)._mpf_ == _reference_horner(p, t)._mpf_
+
+
+@given(
+    st.lists(st.integers(-9, 9), max_size=6).map(Polynomial),
+    st.integers(1, 3),
+    st.integers(-9, 9),
+    st.integers(-3, 3),
+)
+def test_eval_poly_matches_reference_horner_near_ties(p, precision, mantissa, exponent):
+    # small integers at 1 to 3 bits land on exact halfway cases often
+    with workprec(precision):
+        t = mpmath.mpf((mantissa, exponent))
+        assert eval_poly(p, t)._mpf_ == _reference_horner(p, t)._mpf_
+
+
+@pytest.mark.parametrize(
+    "precision, coeffs, x, expected",
+    [
+        (2, (1, 1), 4, 4),  # the sum 5 is halfway between 4 and 6; 4 is even
+        (2, (-1, -1), 4, -4),
+        (2, (3, 1), 4, 8),  # the sum 7 is halfway between 6 and 8; 8 is even
+        (3, (0, 3), 3, 8),  # the product 9 is halfway between 8 and 10
+        (3, (0, 5), 3, 16),  # the product 15 is halfway between 14 and 16
+    ],
+)
+def test_eval_poly_rounds_ties_to_even(precision, coeffs, x, expected):
+    p = Polynomial(coeffs)
+    with workprec(precision):
+        t = mpmath.mpf(x)
+        assert eval_poly(p, t) == expected
+        assert eval_poly(p, t)._mpf_ == _reference_horner(p, t)._mpf_
 
 
 def test_eval_poly_rejects_a_precision_change():

@@ -1,11 +1,14 @@
 """Command-line behavior: output shapes, exit codes, round trips."""
 import contextlib
+import csv
+import io
 import json
 import subprocess
 import sys
 
 import pytest
 
+from arctanpoly import checks
 from arctanpoly.cli import main
 from arctanpoly.highprec import MAX_PRECISION
 
@@ -120,6 +123,19 @@ def test_verify_hessenberg_stays_within_max_n(capsys, max_n):
         assert text == "0/0 checks passed\n"
 
 
+@pytest.mark.parametrize("max_n", [0, 3, 12])
+def test_verify_connections_fibonacci_rows_stay_within_max_n(capsys, max_n):
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "connections", "--max-n", str(max_n), "--format", "json"
+    )
+    assert code == 0
+    for family in ("fibonacci", "lucas"):
+        for h in ("x", "2x", "x^2 + 1"):
+            name = f"{family}-methods[h={h}]"
+            ns = [row["n"] for row in json.loads(out) if row["check"] == name]
+            assert ns == list(range(1, max_n + 1)), name
+
+
 @pytest.mark.parametrize("cap", ["0", "-1"])
 def test_verify_rejects_hessenberg_cap_below_one(capsys, cap):
     code, out, err = run_cli(
@@ -156,6 +172,30 @@ def test_verify_csv_header(capsys):
     )
     assert code == 0
     assert out.splitlines()[0] == "suite,check,n,passed,detail"
+
+
+def test_verify_csv_rows_parse_into_five_fields(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "hessenberg", "--max-n", "4", "--format", "csv"
+    )
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert all(len(row) == 5 for row in rows)
+    assert ["hessenberg", "bracket(1,1)", "1", "pass", ""] in rows
+    assert '"bracket(3,3)"' in out
+    assert "hessenberg,trace-zero,1,pass,\n" in out  # no comma, no quotes
+
+
+def test_verify_csv_failed_row_detail_parses_into_one_field(capsys, monkeypatch):
+    detail = "first difference at x^1: recurrence gives -4, explicit gives 5"
+    row = checks.CheckRow("cross", "beta[recurrence==explicit]", 3, False, detail)
+    monkeypatch.setattr(checks, "run_suite", lambda *args: [row])
+    code, out, _ = run_cli(capsys, "verify", "--suite", "cross", "--max-n", "5", "--format", "csv")
+    assert code == 1
+    assert list(csv.reader(io.StringIO(out))) == [
+        ["suite", "check", "n", "passed", "detail"],
+        ["cross", "beta[recurrence==explicit]", "3", "FAIL", detail],
+    ]
 
 
 def test_verify_is_deterministic(capsys):

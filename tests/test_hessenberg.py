@@ -131,7 +131,7 @@ def _reference_horner(poly, t):
     return acc
 
 
-@pytest.mark.parametrize("precision", [1, 53, 128])
+@pytest.mark.parametrize("precision", [1, 2, 3, 4, 53, 128])
 def test_prepared_charpoly_matches_per_call_conversion(precision):
     # charpoly coefficients are Fractions, so each is rounded twice (mpf(num)/den)
     for n in range(1, 13):

@@ -4,16 +4,21 @@ import ast
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
+from fractions import Fraction
 
+import mpmath
 import pytest
 
+from arctanpoly import highprec
 from arctanpoly.calculus import roots
 from arctanpoly.chebyshev import trig_spot_check
-from arctanpoly.families import SequenceKind
+from arctanpoly.families import SequenceKind, build
 from arctanpoly.hessenberg import eigen_check
-from arctanpoly.highprec import MAX_PRECISION, check_precision
+from arctanpoly.highprec import MAX_PRECISION, check_precision, eval_poly, workprec
+from arctanpoly.poly import Polynomial
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "arctanpoly"
 
@@ -95,3 +100,40 @@ def test_precision_cap_boundary():
 def test_precision_above_the_cap_is_refused(call):
     with pytest.raises(ValueError, match=f"at most {MAX_PRECISION} bits"):
         call(MAX_PRECISION + 1)
+
+
+@pytest.mark.parametrize("point, shown", [("inf", "+inf"), ("-inf", "-inf"), ("nan", "nan")])
+def test_eval_poly_rejects_a_non_finite_point(point, shown):
+    # mpmath stores these with a zero mantissa, which must not read as 0
+    with pytest.raises(ValueError, match=re.escape(f"non-finite point {shown}")):
+        eval_poly(build(SequenceKind.BETA, 4), mpmath.mpf(point))
+
+
+def test_eval_poly_at_zero_is_the_constant_coefficient():
+    zero = mpmath.mpf(0)
+    assert eval_poly(build(SequenceKind.BETA, 4), zero) == 1
+    assert eval_poly(build(SequenceKind.BETA, 5), zero)._mpf_ == mpmath.libmp.fzero
+    with workprec(10):
+        third = eval_poly(Polynomial((Fraction(1, 3), 7, 5)), zero)
+        assert third._mpf_ == (mpmath.mpf(1) / 3)._mpf_
+
+
+def _refuse(*args):
+    raise AssertionError("mpf_mul called inside eval_poly")
+
+
+def test_roots_make_no_mpf_mul_call_inside_eval_poly(monkeypatch):
+    # the integer Horner loop replaced a chain of libmp calls; keep it out
+    real_eval_poly = highprec.eval_poly
+    calls = []
+
+    def guarded(poly, t):
+        with monkeypatch.context() as patch:
+            for owner in (mpmath.libmp, mpmath.libmp.libmpf, mpmath.ctx_mp_python):
+                patch.setattr(owner, "mpf_mul", _refuse)
+            calls.append(t)
+            return real_eval_poly(poly, t)
+
+    monkeypatch.setattr(highprec, "eval_poly", guarded)
+    assert roots(SequenceKind.BETA, 12).all_certified
+    assert len(calls) == 24
