@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import calculus, checks, connections, families, series
 from .exact import format_rational, parse_rational
 from .families import BuildMethod, SequenceKind, UnsupportedPairError
-from .highprec import DEFAULT_PRECISION, MAX_PRECISION, nstr, to_mpf, workprec
+from .highprec import DEFAULT_PRECISION, MAX_PRECISION, nstr, workprec
 from .poly import Polynomial
 
 EXIT_OK = 0
@@ -25,8 +25,40 @@ EXIT_BROKEN_PIPE = 141
 
 
 def _decimal(value, digits: int = 12) -> str:
-    with workprec(96):
-        return nstr(to_mpf(Fraction(value)), digits)
+    """An exact rational to ``digits`` significant digits, correctly rounded
+    (ties away from zero), in the notation of mpmath's ``nstr``.
+
+    Pure integer arithmetic, so no float and no mpmath: fixed notation when
+    the leading digit's decimal exponent e satisfies
+    min(-(digits // 3), -5) < e < digits, scientific otherwise, trailing
+    zeros stripped down to one digit after the point.
+    """
+    v = Fraction(value)
+    if not v:
+        return "0.0"
+    sign = "-" if v < 0 else ""
+    num, den = abs(v.numerator), v.denominator
+
+    def floor_scaled(k):  # floor(num/den * 10^k)
+        return num * 10 ** max(k, 0) // (den * 10 ** max(-k, 0))
+
+    # e with 10^e <= num/den < 10^(e+1): a bit-length estimate, then exact steps
+    e = (num.bit_length() - den.bit_length()) * 30103 // 100000
+    while floor_scaled(-e) < 1:
+        e -= 1
+    while floor_scaled(-e) >= 10:
+        e += 1
+    # round half up on one more digit than kept
+    mantissa = (floor_scaled(digits - e) + 5) // 10
+    if mantissa == 10**digits:
+        mantissa //= 10
+        e += 1
+    text = str(mantissa)
+    if min(-(digits // 3), -5) < e < digits:
+        whole, frac = (text[: e + 1], text[e + 1 :]) if e >= 0 else ("0", "0" * (-e - 1) + text)
+        return f"{sign}{whole}.{frac.rstrip('0') or '0'}"
+    exponent = f"e+{e}" if e >= 0 else f"e{e}"
+    return f"{sign}{text[0]}.{text[1:].rstrip('0') or '0'}{exponent}"
 
 
 def _parse_poly_arg(text: str) -> Polynomial:
@@ -38,16 +70,17 @@ def _parse_poly_arg(text: str) -> Polynomial:
 
 def _cmd_poly(args) -> int:
     kind = SequenceKind(args.kind)
-    method = BuildMethod(args.method) if args.method else None
+    # one process builds one member, so take the fastest exact route rather
+    # than the library's cached recurrence, whose prefix nothing reads again
+    method = BuildMethod(args.method) if args.method else families.SINGLE_MEMBER_METHOD[kind]
     p = families.build(kind, args.n, method)
-    used = method or families.DEFAULT_METHOD[kind]
     if args.format == "json":
         print(
             json.dumps(
                 {
                     "kind": kind.value,
                     "n": args.n,
-                    "method": used.value,
+                    "method": method.value,
                     "coeffs": p.coefficient_strings(),
                 }
             )
@@ -220,7 +253,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_poly = sub.add_parser("poly", help="build one family member")
     p_poly.add_argument("--kind", required=True, choices=[k.value for k in SequenceKind])
     p_poly.add_argument("--n", required=True, type=int)
-    p_poly.add_argument("--method", choices=[m.value for m in BuildMethod])
+    p_poly.add_argument(
+        "--method",
+        choices=[m.value for m in BuildMethod],
+        help="construction to use; by default "
+        + ", ".join(f"{k.value}: {m.value}" for k, m in families.SINGLE_MEMBER_METHOD.items()),
+    )
     p_poly.add_argument("--format", default="text", choices=["text", "json"])
     p_poly.set_defaults(handler=_cmd_poly)
 

@@ -56,6 +56,19 @@ DEFAULT_METHOD: dict[SequenceKind, BuildMethod] = {
     SequenceKind.MONIC_PI: BuildMethod.MONIC_BERNOULLI,
 }
 
+# The route for one member built alone, as the one-shot ``poly`` command
+# does.  For beta and alpha the 2F1 term ratio gives member n in O(n) exact
+# steps and keeps no prefix, while the recurrence steps through and stores
+# every member before it.  DEFAULT_METHOD stays the cached recurrence
+# because growing library sessions reuse its prefix.  pi has no O(n) route;
+# its recurrence still beats the cubic Bernoulli route.
+SINGLE_MEMBER_METHOD: dict[SequenceKind, BuildMethod] = {
+    SequenceKind.BETA: BuildMethod.HYPERGEOMETRIC,
+    SequenceKind.ALPHA: BuildMethod.HYPERGEOMETRIC,
+    SequenceKind.P: BuildMethod.EXPLICIT,
+    SequenceKind.MONIC_PI: BuildMethod.RECURRENCE,
+}
+
 
 class UnsupportedPairError(ValueError):
     """Raised when a (kind, method) combination has no defined construction."""
@@ -435,7 +448,9 @@ def build(kind: SequenceKind, n: int, method: BuildMethod | None = None) -> Poly
     The uncached routes build member n alone (complex and matrix powers by
     binary powering); the recurrence-style methods read member n from the
     shared prefix cache, which steps forward from its last cached member
-    when n is new.
+    when n is new.  Without a method this uses ``DEFAULT_METHOD``, the
+    cached routes a growing session reuses; ``SINGLE_MEMBER_METHOD`` names
+    the fastest route for one member built alone.
     """
     if n < 0:
         raise ValueError("n must be non-negative")

@@ -1,14 +1,15 @@
 """High-precision float helpers on top of mpmath: the package's only float gateway.
 
 Everything irrational in this package (cot nodes, reference arctan values,
-root certificates, series error columns, decimal renderings) runs through
-here, under explicit working precisions, so the exact-arithmetic modules
-never touch machine floats.  No other module imports mpmath.
+root certificates, series error columns, decimal renderings of irrational
+values) runs through here, under explicit working precisions, so the
+exact-arithmetic modules never touch machine floats.  No other module
+imports mpmath.
 
 mpmath is imported on the first call that needs it, not with the package,
-so the exact commands (``poly``, ``deriv`` in text form, ``connect``) never
-load it.  Each helper pays one global lookup for the loaded module per call
-and nothing per coefficient.
+so the exact commands (``poly``, ``deriv``, ``connect``) never load it.
+Each helper pays one global lookup for the loaded module per call and
+nothing per coefficient.
 
 Root certification evaluates one polynomial at many nodes.  ``prepare``
 rounds its exact coefficients to mpf once, at the working precision, and

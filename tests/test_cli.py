@@ -5,12 +5,14 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from arctanpoly import checks
-from arctanpoly.cli import main
-from arctanpoly.highprec import MAX_PRECISION
+from arctanpoly import checks, families
+from arctanpoly.cli import _decimal, main
+from arctanpoly.families import BuildMethod, SequenceKind
+from arctanpoly.highprec import MAX_PRECISION, mpf_to_fraction, nstr, to_mpf, workprec
 
 
 def run_cli(capsys, *argv):
@@ -63,6 +65,60 @@ def test_poly_determinant_method_is_a_usage_error(capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
+ONE_SHOT_ROUTE = {
+    "beta": "hypergeometric",
+    "alpha": "hypergeometric",
+    "p": "explicit",
+    "pi": "recurrence",
+}
+
+
+@pytest.mark.parametrize(
+    "kind, n",
+    [(kind, n) for kind in ONE_SHOT_ROUTE for n in (0, 1, 2, 17, 80)]
+    + [("beta", 1450), ("alpha", 1450)],
+)
+def test_poly_one_shot_route_matches_the_library_default(capsys, kind, n):
+    member = families.build(SequenceKind(kind), n)
+    code, out, _ = run_cli(capsys, "poly", "--kind", kind, "--n", str(n))
+    assert code == 0
+    assert out == member.pretty() + "\n"
+    code, out, _ = run_cli(capsys, "poly", "--kind", kind, "--n", str(n), "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {
+        "kind": kind,
+        "n": n,
+        "method": ONE_SHOT_ROUTE[kind],
+        "coeffs": member.coefficient_strings(),
+    }
+
+
+def test_poly_json_names_an_explicit_method(capsys):
+    code, out, _ = run_cli(
+        capsys, "poly", "--kind", "beta", "--n", "4", "--method", "recurrence", "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out)["method"] == "recurrence"
+
+
+def test_poly_one_shot_route_leaves_the_prefix_caches_alone(capsys, monkeypatch):
+    keys = [(kind, BuildMethod.RECURRENCE) for kind in (SequenceKind.BETA, SequenceKind.ALPHA)]
+    for key in keys:  # seed members only, so an earlier test cannot have cached member 300
+        monkeypatch.setitem(families._prefix_cache, key, families._Prefix(families._ROUTES[key]))
+    before = [len(families._prefix_cache[key].members) for key in keys]
+    code, out, _ = run_cli(capsys, "poly", "--kind", "beta", "--n", "300")
+    assert code == 0 and out.startswith("301x^300 - ")
+    assert [len(families._prefix_cache[key].members) for key in keys] == before
+
+
+def test_poly_method_help_names_each_default(capsys):
+    with pytest.raises(SystemExit):
+        main(["poly", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    for kind, method in ONE_SHOT_ROUTE.items():
+        assert f"{kind}: {method}" in help_text
+
+
 def test_deriv_examples(capsys):
     code, out, _ = run_cli(capsys, "deriv", "--func", "arctan", "--n", "3", "--x", "0")
     assert code == 0
@@ -80,6 +136,83 @@ def test_deriv_json(capsys):
     payload = json.loads(out)
     assert payload["exact"] == "-1/2"
     assert payload["decimal"].startswith("-0.5")
+
+
+@pytest.mark.parametrize(
+    "value, shown",
+    [
+        (Fraction(0), "0.0"),
+        (Fraction(1), "1.0"),
+        (Fraction(-1, 3), "-0.333333333333"),
+        (Fraction(10**20, 7), "1.42857142857e+19"),
+        (Fraction(1, 10**30), "1.0e-30"),
+        (Fraction(123456789012345), "1.23456789012e+14"),
+        (Fraction(200000000000, 3), "66666666666.7"),
+        (Fraction(5, 2), "2.5"),
+        (Fraction(3, 200), "0.015"),
+        (Fraction(1, 8), "0.125"),
+    ],
+)
+def test_decimal_keeps_its_notation(value, shown):
+    assert _decimal(value) == shown
+
+
+def _leading_exponent(v: Fraction) -> int:
+    # e with 10^e <= |v| < 10^(e+1), for |v| >= 10^-60
+    return len(str(abs(v.numerator) * 10**60 // v.denominator)) - 61
+
+
+def _check_against_nstr(v: Fraction) -> bool:
+    """Compare _decimal(v) with nstr of the 96-bit mpf of v, and say whether they differ.
+
+    Where they differ, the new digits must be the correctly rounded ones and
+    the old ones a double rounding: nstr rounds the 96-bit mpf, which its
+    decimal conversion first cuts toward zero to 59 bits, so the 12-digit
+    boundary between the two strings must lie between v and that
+    intermediate.
+    """
+    ours = _decimal(v)
+    with workprec(96):
+        theirs = nstr(to_mpf(v), 12)
+        intermediate = abs(mpf_to_fraction(to_mpf(v)))
+    if ours == theirs:
+        return False
+    unit = Fraction(10) ** (_leading_exponent(v) - 11)
+    ours_value, theirs_value = Fraction(ours), Fraction(theirs)
+    assert (ours_value / unit).denominator == 1, (v, ours)
+    assert abs(v - ours_value) <= unit / 2, (v, ours)  # correctly rounded
+    assert abs(ours_value - theirs_value) == unit, (v, ours, theirs)  # a neighbour
+    boundary = abs(ours_value + theirs_value) / 2
+    cut = intermediate * (1 - Fraction(1, 2**58))
+    assert min(abs(v), cut) <= boundary <= max(abs(v), intermediate), (v, ours, theirs)
+    return True
+
+
+def test_decimal_sweep_against_mpmath_nstr():
+    bases = {Fraction(p, q) for p in range(-30, 31) for q in range(1, 31)}
+    scales = (-40, -13, -12, -1, 0, 1, 11, 12, 13, 40)
+    values = {b * Fraction(10) ** k for b in bases for k in scales}
+    assert len(values) > 5000
+    for v in values:
+        _check_against_nstr(v)
+
+
+@pytest.mark.parametrize(
+    "value, ours, theirs",
+    [
+        # exact ties at the 13th digit round away from zero; nstr's
+        # intermediate lands on the near side of the tie
+        (Fraction(-9999999999995, 10**13), "-1.0", "-0.999999999999"),
+        (Fraction(10**12 + 5, 10**12), "1.00000000001", "1.0"),
+        # above a tie by less than the 96-bit rounding unit
+        (Fraction(10**12 + 5, 10**12) + Fraction(1, 10**40), "1.00000000001", "1.0"),
+    ],
+)
+def test_decimal_rounds_where_nstr_double_rounds(value, ours, theirs):
+    assert _decimal(value) == ours
+    with workprec(96):
+        assert nstr(to_mpf(value), 12) == theirs
+    assert _check_against_nstr(value)
 
 
 def test_deriv_pole_exits_2(capsys):
@@ -364,8 +497,6 @@ def test_poly_prints_members_beyond_the_int_string_limit(capsys):
 
 @needs_int_str_limit
 def test_deriv_prints_values_beyond_the_int_string_limit(capsys):
-    from fractions import Fraction
-
     from arctanpoly.calculus import arctan_nth_derivative
 
     with _int_str_limit(4300):

@@ -57,6 +57,7 @@ def test_exact_commands_never_load_mpmath_and_roots_does():
         ["poly", "--kind", "p", "--n", "6"],
         ["deriv", "--func", "arctan", "--n", "9", "--x", "2/3"],
         ["deriv", "--func", "artanh", "--n", "4", "--x", "1/2"],
+        ["deriv", "--func", "arctan", "--n", "9", "--x", "2/3", "--format", "json"],
         ["connect", "--what", "tan", "--n", "6"],
     ]
     seen = _mpmath_loaded_after(exact + [["roots", "--kind", "beta", "--n", "4"]])
