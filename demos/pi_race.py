@@ -16,7 +16,7 @@ print("=" * 72)
 for kind in SeriesKind:
     for tol in (1e-1, 1e-6, 1e-10):
         value, terms = pi_approx(kind, tol)
-        print(f"  {kind.value:<15s} tol={tol:>7.0e}: {value:.12f} after {terms:>3d} terms")
+        print(f"  {kind.value:<15s} tol={tol:>7.0e}: {float(value):.12f} after {terms:>3d} terms")
 
 print()
 print("=" * 72)

@@ -224,7 +224,7 @@ def suite_series(max_n: int) -> list[CheckRow]:
         value, used = series.pi_approx(kind, 1e-10)
         ok = abs(value - 3.14159265358979323846) < 1e-10 and used <= term_cap
         rows.append(
-            _row("series", f"pi[{kind.value}]", None, ok, f"{value:.12f} in {used} terms")
+            _row("series", f"pi[{kind.value}]", None, ok, f"{float(value):.12f} in {used} terms")
         )
     for x in (Fraction(1, 5), Fraction(1, 2), Fraction(1)):
         for kind in series.SeriesKind:

@@ -199,7 +199,7 @@ def _cmd_pi(args) -> int:
     if tol == 0 and any(d in args.tol.lower().partition("e")[0] for d in "123456789"):
         raise ValueError(f"--tol {args.tol} underflows to 0")
     value, terms = series.pi_approx(kind, tol)
-    print(f"{value:.10f} ({terms} terms)")
+    print(f"{float(value):.10f} ({terms} terms)")
     return EXIT_OK
 
 

@@ -1,4 +1,5 @@
-"""Exact scalar arithmetic: rational parsing, Gaussian integers, Bernoulli numbers.
+"""Exact scalar arithmetic: rational parsing, binary powering, Gaussian integers and
+Bernoulli numbers.
 
 Rationals are plain ``fractions.Fraction`` values; that type already keeps
 gcd(|num|, den) = 1 with a positive denominator after every operation, which
@@ -11,6 +12,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import mul
 
 Rational = Fraction
 
@@ -65,19 +67,23 @@ class GaussianInt:
 GAUSSIAN_ONE = GaussianInt(1, 0)
 
 
+def binary_pow(base, n: int, one, product=mul):
+    """base**n under ``product`` with identity ``one``, by binary powering, n >= 0."""
+    result, square = one, base
+    while n:
+        if n & 1:
+            result = product(result, square)
+        n >>= 1
+        if n:
+            square = product(square, square)
+    return result
+
+
 def gaussian_pow(base: GaussianInt, n: int) -> GaussianInt:
     """Exact (a + b*i)**n by binary exponentiation, n >= 0."""
     if n < 0:
         raise ValueError("exponent must be non-negative")
-    result = GAUSSIAN_ONE
-    square = base
-    while n:
-        if n & 1:
-            result = result * square
-        n >>= 1
-        if n:
-            square = square * square
-    return result
+    return binary_pow(base, n, GAUSSIAN_ONE)
 
 
 # Bernoulli numbers, defined by the recurrence sum_{k=0}^{n} C(n+1, k) B_k = 0

@@ -28,8 +28,8 @@ from math import comb, factorial, gcd, lcm
 from operator import add, neg, sub
 from typing import Callable
 
-from .exact import bernoulli, format_rational
-from .poly import Polynomial, _binary_pow, _canon, _radd_scaled, _row_product, _trim
+from .exact import bernoulli, binary_pow, format_rational
+from .poly import Polynomial, _canon, _radd_scaled, _row_product, _trim
 
 
 class SequenceKind(Enum):
@@ -157,7 +157,7 @@ def _cmul(p, q):
 
 def _complex_pair_pow(m: int) -> tuple[list, list]:
     """(re, im) coefficient lists of (x + i)**m."""
-    return _binary_pow(([0, 1], [1]), m, ([1], []), _cmul)
+    return binary_pow(([0, 1], [1]), m, ([1], []), _cmul)
 
 
 _M_STEP = (([], [-1, 0, -1]), ([1], [0, 2]))  # [[0, -(1+x^2)], [1, 2x]]
@@ -180,7 +180,7 @@ def _m2mul(p, q):
 
 def _family_from_matrix_power(n: int, row1) -> list:
     # (1, r(x)) . M^n . (1, 0)^T  =  M^n[0][0] + r(x) * M^n[1][0]
-    mp = _binary_pow(_M_STEP, n, (([1], []), ([], [1])), _m2mul)
+    mp = binary_pow(_M_STEP, n, (([1], []), ([], [1])), _m2mul)
     return _radd_scaled(list(mp[0][0]), _row_product(row1, mp[1][0]), 1)
 
 

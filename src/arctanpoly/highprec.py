@@ -7,7 +7,7 @@ exact-arithmetic modules never touch machine floats.  No other module
 imports mpmath.
 
 mpmath is imported on the first call that needs it, not with the package,
-so the exact commands (``poly``, ``deriv``, ``connect``) never load it.
+so the exact commands (``poly``, ``deriv``, ``connect``, ``pi``) never load it.
 Each helper pays one global lookup for the loaded module per call and
 nothing per coefficient.
 

@@ -8,9 +8,8 @@ representation canonical and makes the integer-coefficient families cheap.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
 
-from .exact import format_rational
+from .exact import binary_pow, format_rational
 
 NEG_INF = float("-inf")
 
@@ -64,18 +63,6 @@ def _radd_scaled(acc: list, term: list, factor) -> list:
         if c:
             acc[i] += factor * c
     return acc
-
-
-def _binary_pow(base, n: int, one, mul):
-    """base**n under the product mul, by binary powering."""
-    result, square = one, base
-    while n:
-        if n & 1:
-            result = mul(result, square)
-        n >>= 1
-        if n:
-            square = mul(square, square)
-    return result
 
 
 class Polynomial:
@@ -195,7 +182,7 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative powers are not polynomials")
-        return _binary_pow(self, n, Polynomial.one(), mul)
+        return binary_pow(self, n, Polynomial.one())
 
     def differentiate(self) -> "Polynomial":
         c = self._coeffs

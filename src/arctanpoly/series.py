@@ -22,9 +22,11 @@ from math import comb, isfinite
 
 from .exact import format_rational
 from .families import SequenceKind, family_values
-from .highprec import atan_reference, mpf, mpf_to_fraction, to_mpf, workprec
+from .highprec import atan_reference, to_mpf, workprec
 
-EXACT_TERM_LIMIT = 500  # rational partial sums beyond this switch to mpf
+# Largest partial sum and longest pi run.  pi needs 2,133 beta terms at
+# the smallest positive float tolerance, 5e-324.
+MAX_TERMS = 5000
 SLOW_CONVERGENCE_BOUND = Fraction(4)
 ERROR_TRACKING_BITS = 512
 
@@ -48,7 +50,6 @@ class SeriesReport:
     x: Fraction
     rows: list[SeriesRow] = field(default_factory=list)
     target: float = 0.0
-    exact_terms: int = 0  # rows up to this count carry exact sums
     slow_convergence: bool = False
 
     @property
@@ -108,57 +109,60 @@ def _term_stream(kind: SeriesKind, x: Fraction):
             n += 1
 
 
+def _walk(kind: SeriesKind, x: Fraction, terms: int, target):
+    """Yield (n, term, exact partial sum, |partial sum - target|) for n < terms.
+
+    ``target`` is the reference arctan x as an mpf.  The errors are mpf
+    values at ERROR_TRACKING_BITS, the precision the walk holds until it is
+    exhausted or closed; the terms and sums stay exact rationals.
+    """
+    acc = Fraction(0)
+    with workprec(ERROR_TRACKING_BITS):
+        for n, term in zip(range(terms), _term_stream(kind, x)):
+            acc += term
+            yield n, term, acc, abs(to_mpf(acc) - target)
+
+
 def partial_sum(kind: SeriesKind, x: Fraction, terms: int) -> SeriesReport:
     """Exact partial sums with a float error column against reference arctan.
 
-    Sums stay rational for the first EXACT_TERM_LIMIT terms; after that the
-    accumulation continues in high-precision floats (whose dyadic values are
-    still recorded exactly in the rows).
+    ``terms`` runs from 1 to MAX_TERMS; outside that range raises ValueError.
     """
     if terms < 1:
         raise ValueError("terms must be positive")
+    if terms > MAX_TERMS:
+        raise ValueError(f"terms must be at most {MAX_TERMS}, got {terms}")
     x = Fraction(x)
-    report = SeriesReport(
+    target = atan_reference(x, ERROR_TRACKING_BITS)
+    walk = _walk(kind, x, terms, target)
+    return SeriesReport(
         kind=kind,
         x=x,
+        rows=[SeriesRow(n, term, total, float(err)) for n, term, total, err in walk],
+        target=float(target),
         slow_convergence=abs(x) > SLOW_CONVERGENCE_BOUND,
-        exact_terms=min(terms, EXACT_TERM_LIMIT),
     )
-    with workprec(ERROR_TRACKING_BITS):
-        target = atan_reference(x, ERROR_TRACKING_BITS)
-        report.target = float(target)
-        stream = _term_stream(kind, x)
-        acc: Fraction | None = Fraction(0)
-        acc_mpf = mpf(0)
-        for n in range(terms):
-            term = next(stream)
-            if n < EXACT_TERM_LIMIT:
-                acc += term
-                row_sum = acc
-                err = abs(to_mpf(acc) - target)
-            else:
-                if acc is not None:
-                    acc_mpf = to_mpf(acc)
-                    acc = None
-                acc_mpf += to_mpf(term)
-                row_sum = mpf_to_fraction(acc_mpf)
-                err = abs(acc_mpf - target)
-            report.rows.append(SeriesRow(n, term, row_sum, float(err)))
-    return report
 
 
-def _tail_bound_at_one(kind: SeriesKind, n: int, latest_term: Fraction):
-    """Upper bound on |sum of terms beyond n| at x = 1.
+def _tail_below(kind: SeriesKind, n: int, latest_term: Fraction, tolerance: Fraction) -> bool:
+    """Whether 4 * (a bound on |sum of terms beyond n| at x = 1) < tolerance, exactly.
 
     Classical series: the term ratio (m+1)/(2m+3) never exceeds 1/2, so the
     tail is below the latest term.  Beta expansion: |term_m| is at most
     2^-(m+1)/2 / (m+1), and summing the geometric envelope gives
-    2^-(n+2)/2 / ((n+2)(1 - 2^-1/2)).
+    2^-(n+2)/2 / ((n+2)(1 - s)) with s = 2^-1/2.
+
+    With t = tolerance * (n+2) and 4 * 2^-(n+2)/2 = a + f*s (a is zero for
+    odd n, f for even n), the beta test 4 * envelope < tolerance reads
+    a + b*s < t with b = f + t >= 0, which holds exactly when t - a > 0 and
+    b^2/2 < (t - a)^2.
     """
     if kind is SeriesKind.EULER:
-        return to_mpf(abs(latest_term))
-    envelope = mpf(2) ** (-(n + 2) / 2.0)
-    return envelope / ((n + 2) * (1 - mpf(2) ** -0.5))
+        return 4 * abs(latest_term) < tolerance
+    t = tolerance * (n + 2)
+    rational = Fraction(4, 2 ** ((n + 2) // 2))  # 4 * 2^-(n+2)/2 is this, times s for odd n
+    a, b = (0, rational + t) if n % 2 else (rational, t)
+    return t > a and b * b < 2 * (t - a) ** 2
 
 
 def _check_tolerance(tolerance: float) -> None:
@@ -166,27 +170,22 @@ def _check_tolerance(tolerance: float) -> None:
         raise ValueError(f"tolerance must be a finite positive number, got {tolerance}")
 
 
-def pi_approx(kind: SeriesKind, tolerance: float) -> tuple[float, int]:
+def pi_approx(kind: SeriesKind, tolerance: float) -> tuple[Fraction, int]:
     """Approximate pi as 4 * (series at x = 1), stopping on a certified bound.
 
-    Returns (value, terms_used); |value - pi| is below ``tolerance`` by the
-    tail bounds documented in _tail_bound_at_one.  A tolerance that is not a
-    finite positive number raises ValueError.
+    Returns (value, terms_used), the exact rational 4 * S_N and N, with
+    |value - pi| below ``tolerance`` by the tail bounds documented in
+    _tail_below.  A tolerance that is not a finite positive number raises
+    ValueError, and one that needs more than MAX_TERMS terms RuntimeError.
     """
     _check_tolerance(tolerance)
-    one = Fraction(1)
-    with workprec(ERROR_TRACKING_BITS):
-        stream = _term_stream(kind, one)
-        acc = Fraction(0)
-        n = 0
-        while True:
-            term = next(stream)
-            acc += term
-            if 4 * _tail_bound_at_one(kind, n, term) < tolerance:
-                return float(4 * to_mpf(acc)), n + 1
-            n += 1
-            if n > 10_000:
-                raise RuntimeError("tolerance not reached within 10000 terms")
+    tolerance = Fraction(tolerance)
+    acc = Fraction(0)
+    for n, term in zip(range(MAX_TERMS), _term_stream(kind, Fraction(1))):
+        acc += term
+        if _tail_below(kind, n, term, tolerance):
+            return 4 * acc, n + 1
+    raise RuntimeError(f"tolerance not reached within {MAX_TERMS} terms")
 
 
 @dataclass(frozen=True)
@@ -203,19 +202,13 @@ def compare_series(x: Fraction, tolerance: float, max_terms: int = 2000) -> list
     """
     _check_tolerance(tolerance)
     x = Fraction(x)
+    target = atan_reference(x, ERROR_TRACKING_BITS)
     out = []
-    with workprec(ERROR_TRACKING_BITS):
-        target = atan_reference(x, ERROR_TRACKING_BITS)
-        for kind in SeriesKind:
-            stream = _term_stream(kind, x)
-            acc = Fraction(0)
-            used = None
-            err = mpf("inf")
-            for n in range(max_terms):
-                acc += next(stream)
-                err = abs(to_mpf(acc) - target)
-                if err < tolerance:
-                    used = n + 1
-                    break
-            out.append(ComparisonRow(kind, used, float(err)))
+    for kind in SeriesKind:
+        used, err = None, float("inf")
+        for n, _, _, err in _walk(kind, x, max_terms, target):
+            if err < tolerance:
+                used = n + 1
+                break
+        out.append(ComparisonRow(kind, used, float(err)))
     return out

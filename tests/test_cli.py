@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from arctanpoly import checks, families
+from arctanpoly import checks, families, series
 from arctanpoly.cli import _decimal, main
 from arctanpoly.families import BuildMethod, SequenceKind
 from arctanpoly.highprec import MAX_PRECISION, mpf_to_fraction, nstr, to_mpf, workprec
@@ -345,6 +345,17 @@ def test_series_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "n,term,partial_sum,abs_error"
     assert lines[1].startswith("0,1/2,1/2,")
+
+
+def test_series_refuses_terms_past_the_cap(capsys):
+    code, out, err = run_cli(
+        capsys, "series", "--kind", "beta", "--x", "1", "--terms", "100000000"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.strip().splitlines() == [
+        f"error: terms must be at most {series.MAX_TERMS}, got 100000000"
+    ]
 
 
 def test_pi_command(capsys):

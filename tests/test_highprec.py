@@ -59,6 +59,8 @@ def test_exact_commands_never_load_mpmath_and_roots_does():
         ["deriv", "--func", "artanh", "--n", "4", "--x", "1/2"],
         ["deriv", "--func", "arctan", "--n", "9", "--x", "2/3", "--format", "json"],
         ["connect", "--what", "tan", "--n", "6"],
+        ["pi", "--method", "euler", "--tol", "1e-30"],
+        ["pi", "--method", "beta", "--tol", "1e-100"],
     ]
     seen = _mpmath_loaded_after(exact + [["roots", "--kind", "beta", "--n", "4"]])
     assert seen[:-1] == [("import", False)] + [(" ".join(argv), False) for argv in exact]

@@ -6,6 +6,7 @@ import pytest
 
 from arctanpoly.highprec import to_mpf, workprec
 from arctanpoly.series import (
+    MAX_TERMS,
     SeriesKind,
     compare_series,
     partial_sum,
@@ -35,6 +36,16 @@ def test_partial_sum_rows_are_cumulative_and_match_terms():
     for row in report.rows:
         assert row.term == series_term(SeriesKind.BETA_EXPANSION, row.n, Fraction(2, 5))
         acc += row.term
+        assert row.partial_sum == acc
+
+
+@pytest.mark.parametrize("kind", list(SeriesKind))
+@pytest.mark.parametrize("x", [Fraction(1), Fraction(1, 2), Fraction(3)])
+def test_partial_sums_stay_exact_past_500_terms(kind, x):
+    report = partial_sum(kind, x, 600)
+    acc = Fraction(0)
+    for n, row in enumerate(report.rows):
+        acc += series_term(kind, n, x)
         assert row.partial_sum == acc
 
 
@@ -94,6 +105,35 @@ def test_pi_examples():
     assert terms <= 5
 
 
+def _documented_tail_bounds(kind):
+    """4 * the tail bound after term n at x = 1, for n = 0, 1, ..., as 1024-bit mpf values."""
+    n = 0
+    while True:
+        with workprec(1024):
+            if kind is SeriesKind.EULER:
+                bound = 4 * abs(to_mpf(series_term(kind, n, Fraction(1))))
+            else:
+                root = mpmath.sqrt(2)
+                bound = 4 / (root ** (n + 2) * (n + 2) * (1 - 1 / root))
+        yield bound
+        n += 1
+
+
+@pytest.mark.parametrize("kind", list(SeriesKind))
+def test_pi_stops_where_the_documented_tail_bound_first_falls_below_tol(kind):
+    tolerances = [float(f"1e-{k}") for k in range(1, 301, 6)]
+    bounds = _documented_tail_bounds(kind)
+    n, bound = 0, next(bounds)
+    for tol in tolerances:
+        while not bound < mpmath.mpf(tol):
+            n, bound = n + 1, next(bounds)
+        value, terms = pi_approx(kind, tol)
+        assert terms == n + 1, tol
+        assert type(value) is Fraction
+        if tol == 1e-31:
+            assert value == 4 * sum(series_term(kind, m, Fraction(1)) for m in range(terms))
+
+
 def test_compare_series_examples():
     rows = compare_series(Fraction(1), 1e-8)
     by_kind = {row.kind: row for row in rows}
@@ -123,6 +163,9 @@ def test_input_validation():
         series_term(SeriesKind.EULER, -1, Fraction(1))
     with pytest.raises(ValueError):
         partial_sum(SeriesKind.EULER, Fraction(1), 0)
+    assert len(partial_sum(SeriesKind.EULER, Fraction(0), MAX_TERMS).rows) == MAX_TERMS
+    with pytest.raises(ValueError, match=f"at most {MAX_TERMS}, got {MAX_TERMS + 1}"):
+        partial_sum(SeriesKind.EULER, Fraction(0), MAX_TERMS + 1)
     with pytest.raises(ValueError):
         pi_approx(SeriesKind.EULER, 0.0)
 
