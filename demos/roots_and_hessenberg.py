@@ -8,7 +8,16 @@ are literally eigenvalues.
 """
 import mpmath
 
-from arctanpoly import SequenceKind, bracket, build, build_H, charpoly, eigen_check, roots
+from arctanpoly import (
+    BuildMethod,
+    SequenceKind,
+    bracket,
+    build,
+    build_H,
+    charpoly,
+    eigen_check,
+    roots,
+)
 
 print("=" * 72)
 print("ROOT LADDERS WITH SIMPLE-ROOT CERTIFICATES")
@@ -40,8 +49,11 @@ matrix = build_H(n)
 print(f"\n  H_{n} (json): {matrix.json()}")
 cp = charpoly(matrix)
 print(f"  charpoly(H_{n}) = {cp.pretty()}")
-print(f"  beta_{n}/6      = {build(SequenceKind.MONIC_PI, n).pretty()}")
-print(f"  equal: {cp == build(SequenceKind.MONIC_PI, n)}")
+# pi_n from the three-term recurrence: charpoly expands along the same
+# brackets as the default Bernoulli route, so that would compare it with itself
+monic = build(SequenceKind.MONIC_PI, n, BuildMethod.RECURRENCE)
+print(f"  beta_{n}/6      = {monic.pretty()}")
+print(f"  equal: {cp == monic}")
 
 print("\n  eigenvalues are the cot nodes (certified):")
 for n in range(1, 9):

@@ -50,7 +50,6 @@ from .families import (
     build,
     build_sequence,
     cross_validate,
-    family_values,
     verify_egf,
     verify_ogf,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "cross_validate",
     "derivative_identity_check",
     "eigen_check",
-    "family_values",
     "fibonacci_poly",
     "finite_difference_derivative",
     "gaussian_pow",

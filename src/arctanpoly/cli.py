@@ -160,27 +160,29 @@ def _cmd_series(args) -> int:
     kind = series.SeriesKind.EULER if args.kind == "euler" else series.SeriesKind.BETA_EXPANSION
     report = series.partial_sum(kind, parse_rational(args.x), args.terms)
     if args.format == "csv":
-        sys.stdout.write(report.csv())
+        sys.stdout.writelines(report.csv_lines())
     elif args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "kind": kind.value,
-                    "x": format_rational(report.x),
-                    "target": report.target,
-                    "slow_convergence": report.slow_convergence,
-                    "rows": [
-                        {
-                            "n": r.n,
-                            "term": format_rational(r.term),
-                            "partial_sum": format_rational(r.partial_sum),
-                            "abs_error": r.abs_error,
-                        }
-                        for r in report.rows
-                    ],
-                }
-            )
+        # the bytes of one json.dumps of the whole report, written a row at a
+        # time: the head up to the rows' opening bracket, then each row
+        head = json.dumps(
+            {
+                "kind": kind.value,
+                "x": format_rational(report.x),
+                "target": report.target,
+                "slow_convergence": report.slow_convergence,
+                "rows": [],
+            }
         )
+        sys.stdout.write(head[: -len("]}")])
+        for r in report.rows:
+            row = {
+                "n": r.n,
+                "term": format_rational(r.term),
+                "partial_sum": format_rational(r.partial_sum),
+                "abs_error": r.abs_error,
+            }
+            sys.stdout.write((", " if r.n else "") + json.dumps(row))
+        sys.stdout.write("]}\n")
     else:
         if report.slow_convergence:
             print("warning: |x| > 4, expect slow convergence")

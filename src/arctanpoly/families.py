@@ -10,13 +10,15 @@ Four families are materialized, all with exact coefficients:
   cot(k*pi/(n+1)).
 
 Every family can be built by several independent routes (three-term
-recurrence, explicit binomial sums, complex powers, 2x2 matrix powers,
-Bernoulli-weighted monic recurrences, terminating hypergeometric sums,
-derivative recursions) and the routes are cross-checked coefficient by
-coefficient.  The explicit sums take each binomial directly from
-``math.comb``; the hypergeometric sums step from term to term by the
-integer form of the 2F1 term ratio, so the two binomial routes share no
-arithmetic.
+recurrence, explicit binomial sums, complex powers, Bernoulli-weighted monic
+recurrences, terminating hypergeometric sums, derivative recursions) and the
+routes are cross-checked coefficient by coefficient.  The explicit sums take
+each binomial directly from ``math.comb``; the hypergeometric sums step from
+term to term by the integer form of the 2F1 term ratio, so the two binomial
+routes share no arithmetic.  The generating functions are checked against
+members built by a route other than the one each restates: the rational OGF
+(whose denominator is the three-term recurrence) against the explicit sums,
+the EGF (a binomial convolution) against the recurrence.
 """
 from __future__ import annotations
 
@@ -43,7 +45,6 @@ class BuildMethod(Enum):
     RECURRENCE = "recurrence"
     EXPLICIT = "explicit"
     COMPLEX_POWER = "complex-power"
-    MATRIX_POWER = "matrix-power"
     MONIC_BERNOULLI = "monic-bernoulli"
     HYPERGEOMETRIC = "hypergeometric"
     DERIVATIVE_RECURRENCE = "derivative-recurrence"
@@ -160,30 +161,6 @@ def _complex_pair_pow(m: int) -> tuple[list, list]:
     return binary_pow(([0, 1], [1]), m, ([1], []), _cmul)
 
 
-_M_STEP = (([], [-1, 0, -1]), ([1], [0, 2]))  # [[0, -(1+x^2)], [1, 2x]]
-
-
-def _m2mul(p, q):
-    (a, b), (c, d) = p
-    (e, f), (g, h) = q
-    return (
-        (
-            _radd_scaled(_row_product(a, e), _row_product(b, g), 1),
-            _radd_scaled(_row_product(a, f), _row_product(b, h), 1),
-        ),
-        (
-            _radd_scaled(_row_product(c, e), _row_product(d, g), 1),
-            _radd_scaled(_row_product(c, f), _row_product(d, h), 1),
-        ),
-    )
-
-
-def _family_from_matrix_power(n: int, row1) -> list:
-    # (1, r(x)) . M^n . (1, 0)^T  =  M^n[0][0] + r(x) * M^n[1][0]
-    mp = binary_pow(_M_STEP, n, (([1], []), ([], [1])), _m2mul)
-    return _radd_scaled(list(mp[0][0]), _row_product(row1, mp[1][0]), 1)
-
-
 def bracket(n: int, j: int) -> Fraction:
     """Bracket coefficient [n over j] of the monic recurrence of pi_n, exact."""
     if not 0 <= j <= n:
@@ -217,9 +194,6 @@ _MEMBERS: dict[tuple[SequenceKind, BuildMethod], Callable[[int], list]] = {
     (SequenceKind.P, BuildMethod.COMPLEX_POWER): lambda n: _p_from_beta(
         _complex_pair_pow(n + 1)[1], n
     ),
-    # binary powering of the 2x2 step matrix
-    (SequenceKind.BETA, BuildMethod.MATRIX_POWER): lambda n: _family_from_matrix_power(n, [0, 2]),
-    (SequenceKind.ALPHA, BuildMethod.MATRIX_POWER): lambda n: _family_from_matrix_power(n, [0, 1]),
 }
 
 
@@ -239,23 +213,12 @@ def _seq_complex_power(n_max: int, part: str, power_shift: int) -> list[list]:
     return seq
 
 
-def _seq_matrix_power(n_max: int, row1: list) -> list[list]:
-    seq = []
-    mp = (([1], []), ([], [1]))
-    for _ in range(n_max + 1):
-        seq.append(_radd_scaled(list(mp[0][0]), _row_product(row1, mp[1][0]), 1))
-        mp = _m2mul(mp, _M_STEP)
-    return seq
-
-
 _POWER_PREFIXES = {
     (SequenceKind.BETA, BuildMethod.COMPLEX_POWER): lambda n: _seq_complex_power(n, "im", 1),
     (SequenceKind.ALPHA, BuildMethod.COMPLEX_POWER): lambda n: _seq_complex_power(n, "re", 0),
     (SequenceKind.P, BuildMethod.COMPLEX_POWER): lambda n: [
         _p_from_beta(raw, k) for k, raw in enumerate(_seq_complex_power(n, "im", 1))
     ],
-    (SequenceKind.BETA, BuildMethod.MATRIX_POWER): lambda n: _seq_matrix_power(n, [0, 2]),
-    (SequenceKind.ALPHA, BuildMethod.MATRIX_POWER): lambda n: _seq_matrix_power(n, [0, 1]),
 }
 
 
@@ -445,8 +408,8 @@ def build_sequence(
 def build(kind: SequenceKind, n: int, method: BuildMethod | None = None) -> Polynomial:
     """Exact member n of the family by the requested construction.
 
-    The uncached routes build member n alone (complex and matrix powers by
-    binary powering); the recurrence-style methods read member n from the
+    The uncached routes build member n alone (complex powers by binary
+    powering); the recurrence-style methods read member n from the
     shared prefix cache, which steps forward from its last cached member
     when n is new.  Without a method this uses ``DEFAULT_METHOD``, the
     cached routes a growing session reuses; ``SINGLE_MEMBER_METHOD`` names
@@ -539,44 +502,28 @@ def cross_validate(kind: SequenceKind, n_max: int) -> CrossValidationReport:
 # generating-function verification by series truncation
 # ---------------------------------------------------------------------------
 
-def family_values(kind: SequenceKind, x: Fraction, count: int) -> list[Fraction]:
-    """Values member_n(x) for n < count via the three-term value recurrence."""
+def _values_at(kind: SequenceKind, x: Fraction, order: int, method: BuildMethod) -> list:
+    """member_n(x) for n < order, from the members ``method`` builds."""
     if kind not in (SequenceKind.BETA, SequenceKind.ALPHA):
-        raise ValueError("value recurrence is defined for the beta and alpha families")
-    out = [Fraction(1)]
-    if count > 1:
-        out.append(Fraction(2 * x if kind is SequenceKind.BETA else x))
-    lead = 2 * x
-    tail = 1 + x * x
-    for _ in range(2, count):
-        out.append(lead * out[-1] - tail * out[-2])
-    return out[:count]
-
-
-def _series_divide(num: list, den: list, order: int) -> list[Fraction]:
-    inv0 = Fraction(1) / den[0]
-    out: list[Fraction] = []
-    for k in range(order):
-        acc = Fraction(num[k]) if k < len(num) else Fraction(0)
-        for j in range(1, min(k, len(den) - 1) + 1):
-            acc -= den[j] * out[k - j]
-        out.append(acc * inv0)
-    return out
+        raise ValueError("generating functions are defined for the beta and alpha families")
+    return [p.evaluate(x) for p in build_sequence(kind, order - 1, method)]
 
 
 def verify_ogf(kind: SequenceKind, x: Fraction, order: int) -> bool:
-    """Expand the closed rational generating function as a z-series and
-    compare coefficient k with member_k(x), for all k < order.
+    """Check the closed rational generating function against built members:
+    den(z) * sum_k member_k(x) z^k == num(z) mod z^order, with
 
-    beta:  1 / (1 - 2xz + (1+x^2) z^2)
-    alpha: (1 - xz) / (1 - 2xz + (1+x^2) z^2)
+    beta:  num = 1          alpha: num = 1 - xz,     den = 1 - 2xz + (1+x^2) z^2.
+
+    Expanding num/den is the three-term recurrence itself, so the members
+    come from the explicit binomial sums instead.
     """
     if order < 1:
         raise ValueError("order must be positive")
-    den = [Fraction(1), Fraction(-2 * x), Fraction(1 + x * x)]
-    num = [Fraction(1)] if kind is SequenceKind.BETA else [Fraction(1), Fraction(-x)]
-    coeffs = _series_divide(num, den, order)
-    return coeffs == family_values(kind, x, order)
+    values = _values_at(kind, x, order, BuildMethod.EXPLICIT)
+    den = [1, -2 * x, 1 + x * x]
+    num = [1] if kind is SequenceKind.BETA else [1, -x]
+    return _row_product(values, den)[:order] == (num + [0] * order)[:order]
 
 
 def verify_egf(kind: SequenceKind, x: Fraction, order: int) -> bool:
@@ -584,7 +531,8 @@ def verify_egf(kind: SequenceKind, x: Fraction, order: int) -> bool:
 
     beta:  (cos z + x sin z) e^{xz}        alpha: cos(z) e^{xz}
 
-    and compare n! times the z^n coefficient with member_n(x), n < order.
+    and compare n! times the z^n coefficient with member_n(x), n < order,
+    built by the three-term recurrence.
     """
     if order < 1:
         raise ValueError("order must be positive")
@@ -596,7 +544,7 @@ def verify_egf(kind: SequenceKind, x: Fraction, order: int) -> bool:
     exp_xz = [x**k * inv_fact[k] for k in range(order)]
     trig = cos_z if kind is SequenceKind.ALPHA else [c + x * s for c, s in zip(cos_z, sin_z)]
     prod = _row_product(trig, exp_xz)
-    values = family_values(kind, x, order)
+    values = _values_at(kind, x, order, BuildMethod.RECURRENCE)
     fact = 1
     for n in range(order):
         if n:

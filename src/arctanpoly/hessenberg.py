@@ -19,17 +19,10 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import families
+from . import calculus, families
 from .exact import format_rational
 from .families import BuildMethod, SequenceKind, bracket
-from .highprec import (
-    DEFAULT_PRECISION,
-    certify_simple_root,
-    check_precision,
-    cot_node,
-    prepare,
-    workprec,
-)
+from .highprec import DEFAULT_PRECISION, check_precision
 from .poly import Polynomial
 
 
@@ -103,19 +96,16 @@ def eigen_check(
     precision_bits: int = DEFAULT_PRECISION,
     tolerance: float = 1e-9,
 ) -> bool:
-    """True iff every cot(k*pi/(n+1)) certifies as a simple eigenvalue,
-    i.e. a simple root of charpoly(H_n)."""
+    """True iff charpoly(H_n) is exactly pi_n and every cot(k*pi/(n+1))
+    certifies as a simple root of beta_n = (n+1) pi_n, i.e. as a simple
+    eigenvalue of H_n."""
     check_precision(precision_bits)
-    p = charpoly(build_H(n))
-    with workprec(precision_bits):
-        p_mpf, dp_mpf = prepare(p), prepare(p.differentiate())
-        for k in range(1, n + 1):
-            check = certify_simple_root(p_mpf, cot_node(k, n + 1), tolerance, derivative=dp_mpf)
-            if not check.certified:
-                return False
-    return True
+    if charpoly(build_H(n)) != monic_reference(n):
+        return False
+    return calculus.roots(SequenceKind.BETA, n, precision_bits, tolerance).all_certified
 
 
 def monic_reference(n: int) -> Polynomial:
-    """pi_n built independently of the matrix, for cross-checks."""
-    return families.build(SequenceKind.MONIC_PI, n, BuildMethod.MONIC_BERNOULLI)
+    """pi_n = beta_n/(n+1) from the three-term recurrence, which uses no
+    matrix and no bracket, for cross-checks."""
+    return families.build(SequenceKind.MONIC_PI, n, BuildMethod.RECURRENCE)

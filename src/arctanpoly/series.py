@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import comb, isfinite
 
 from .exact import format_rational
-from .families import SequenceKind, family_values
+from .families import SINGLE_MEMBER_METHOD, SequenceKind, build
 from .highprec import atan_reference, to_mpf, workprec
 
 # Largest partial sum and longest pi run.  pi needs 2,133 beta terms at
@@ -56,14 +56,15 @@ class SeriesReport:
     def final_error(self) -> float:
         return self.rows[-1].abs_error if self.rows else float("nan")
 
-    def csv(self) -> str:
-        lines = ["n,term,partial_sum,abs_error"]
+    def csv_lines(self):
+        """The CSV table, one newline-terminated line at a time, so a writer
+        never holds more than one formatted row."""
+        yield "n,term,partial_sum,abs_error\n"
         for row in self.rows:
-            lines.append(
+            yield (
                 f"{row.n},{format_rational(row.term)},"
-                f"{format_rational(row.partial_sum)},{row.abs_error!r}"
+                f"{format_rational(row.partial_sum)},{row.abs_error!r}\n"
             )
-        return "\n".join(lines) + "\n"
 
 
 def series_term(kind: SeriesKind, n: int, x: Fraction) -> Fraction:
@@ -76,7 +77,7 @@ def series_term(kind: SeriesKind, n: int, x: Fraction) -> Fraction:
         # 4^n (n!)^2/(2n+1)! = 4^n / ((2n+1) C(2n,n))
         factor = Fraction(4**n, (2 * n + 1) * comb(2 * n, n))
         return factor * x ** (2 * n + 1) / shell
-    beta_n = family_values(SequenceKind.BETA, x, n + 1)[-1]
+    beta_n = build(SequenceKind.BETA, n, SINGLE_MEMBER_METHOD[SequenceKind.BETA]).evaluate(x)
     return beta_n * x ** (n + 1) / ((n + 1) * shell)
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from arctanpoly import checks, families, series
 from arctanpoly.cli import _decimal, main
+from arctanpoly.exact import format_rational
 from arctanpoly.families import BuildMethod, SequenceKind
 from arctanpoly.highprec import MAX_PRECISION, mpf_to_fraction, nstr, to_mpf, workprec
 
@@ -42,7 +43,7 @@ def test_poly_json_monic(capsys):
 
 
 def test_poly_json_round_trip(capsys):
-    from arctanpoly.exact import format_rational, parse_rational
+    from arctanpoly.exact import parse_rational
 
     code, out, _ = run_cli(capsys, "poly", "--kind", "beta", "--n", "7", "--format", "json")
     assert code == 0
@@ -58,9 +59,10 @@ def test_poly_invalid_pair_exits_2(capsys):
     assert "monic-bernoulli" in err and "beta" in err
 
 
-def test_poly_determinant_method_is_a_usage_error(capsys):
+@pytest.mark.parametrize("method", ["determinant", "matrix-power"])
+def test_poly_removed_method_is_a_usage_error(capsys, method):
     with pytest.raises(SystemExit) as exc:
-        main(["poly", "--kind", "beta", "--n", "3", "--method", "determinant"])
+        main(["poly", "--kind", "beta", "--n", "3", "--method", method])
     assert exc.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
 
@@ -345,6 +347,36 @@ def test_series_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "n,term,partial_sum,abs_error"
     assert lines[1].startswith("0,1/2,1/2,")
+
+
+@pytest.mark.parametrize(
+    "kind, x, terms", [("euler", "1/3", 1), ("beta", "7", 1), ("beta", "-5/2", 40)]
+)
+def test_series_streamed_output_is_the_whole_document(capsys, kind, x, terms):
+    # csv and json are written row by row; the bytes must be those of the
+    # table joined at once and of one json.dumps of the whole report
+    series_kind = series.SeriesKind.EULER if kind == "euler" else series.SeriesKind.BETA_EXPANSION
+    report = series.partial_sum(series_kind, Fraction(x), terms)
+    rows = [(format_rational(r.term), format_rational(r.partial_sum), r) for r in report.rows]
+    csv_text = "\n".join(
+        ["n,term,partial_sum,abs_error"]
+        + [f"{r.n},{term},{total},{r.abs_error!r}" for term, total, r in rows]
+    )
+    json_text = json.dumps(
+        {
+            "kind": series_kind.value,
+            "x": format_rational(report.x),
+            "target": report.target,
+            "slow_convergence": report.slow_convergence,
+            "rows": [
+                {"n": r.n, "term": term, "partial_sum": total, "abs_error": r.abs_error}
+                for term, total, r in rows
+            ],
+        }
+    )
+    argv = ("series", "--kind", kind, f"--x={x}", "--terms", str(terms), "--format")
+    assert run_cli(capsys, *argv, "csv") == (0, csv_text + "\n", "")
+    assert run_cli(capsys, *argv, "json") == (0, json_text + "\n", "")
 
 
 def test_series_refuses_terms_past_the_cap(capsys):

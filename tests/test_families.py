@@ -14,7 +14,6 @@ from arctanpoly.families import (
     build,
     build_sequence,
     cross_validate,
-    family_values,
     verify_egf,
     verify_ogf,
 )
@@ -69,7 +68,7 @@ def test_unsupported_pairs_raise():
     with pytest.raises(UnsupportedPairError):
         build(SequenceKind.ALPHA, 3, BuildMethod.DERIVATIVE_RECURRENCE)
     with pytest.raises(UnsupportedPairError):
-        build(SequenceKind.P, 3, BuildMethod.MATRIX_POWER)
+        build(SequenceKind.P, 3, BuildMethod.HYPERGEOMETRIC)
     with pytest.raises(UnsupportedPairError):
         build(SequenceKind.MONIC_PI, 3, BuildMethod.EXPLICIT)
 
@@ -217,22 +216,45 @@ def test_alternating_zero_coefficients():
                 assert beta.coefficient(k) == 0
 
 
-def test_family_values_match_polynomials():
-    x = Fraction(3, 7)
-    betas = family_values(SequenceKind.BETA, x, 20)
-    alphas = family_values(SequenceKind.ALPHA, x, 20)
-    for n in range(20):
-        assert betas[n] == build(SequenceKind.BETA, n).evaluate(x)
-        assert alphas[n] == build(SequenceKind.ALPHA, n).evaluate(x)
+def _values(kind, x, count):
+    return [build(kind, n).evaluate(x) for n in range(count)]
 
 
 def test_ogf_examples():
     assert verify_ogf(SequenceKind.BETA, Fraction(1), 5)
-    assert family_values(SequenceKind.BETA, Fraction(1), 5) == [1, 2, 2, 0, -4]
+    assert _values(SequenceKind.BETA, Fraction(1), 5) == [1, 2, 2, 0, -4]
     assert verify_ogf(SequenceKind.ALPHA, Fraction(0), 4)
-    assert family_values(SequenceKind.ALPHA, Fraction(0), 4) == [1, 0, -1, 0]
+    assert _values(SequenceKind.ALPHA, Fraction(0), 4) == [1, 0, -1, 0]
     assert verify_ogf(SequenceKind.BETA, Fraction(0), 4)
-    assert family_values(SequenceKind.BETA, Fraction(0), 4) == [1, 0, -1, 0]
+    assert _values(SequenceKind.BETA, Fraction(0), 4) == [1, 0, -1, 0]
+    assert verify_ogf(SequenceKind.ALPHA, Fraction(2), 1)
+
+
+def test_ogf_reads_the_explicit_members(monkeypatch):
+    key = (SequenceKind.BETA, BuildMethod.EXPLICIT)
+    explicit = fam._MEMBERS[key]
+    # beta_7 with a wrong x^1 coefficient (1 in place of -8)
+    monkeypatch.setitem(
+        fam._MEMBERS, key, lambda n: [0, 1] + explicit(n)[2:] if n == 7 else explicit(n)
+    )
+    assert not verify_ogf(SequenceKind.BETA, Fraction(1, 2), 10)
+    assert verify_ogf(SequenceKind.BETA, Fraction(1, 2), 7)
+
+
+def test_egf_reads_the_recurrence_prefix(monkeypatch):
+    key = (SequenceKind.BETA, BuildMethod.RECURRENCE)
+    monkeypatch.setattr(fam, "_prefix_cache", {})  # the shared cache is restored afterwards
+    build_sequence(SequenceKind.BETA, 10, BuildMethod.RECURRENCE)
+    members = fam._prefix_cache[key].members
+    members[7] = members[7] + 1
+    assert not verify_egf(SequenceKind.BETA, Fraction(1, 2), 10)
+    assert verify_egf(SequenceKind.BETA, Fraction(1, 2), 7)
+
+
+def test_generating_functions_refuse_other_families():
+    for check in (verify_ogf, verify_egf):
+        with pytest.raises(ValueError, match="beta and alpha"):
+            check(SequenceKind.P, Fraction(1), 5)
 
 
 def test_egf_examples():

@@ -5,6 +5,8 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from arctanpoly import hessenberg
+from arctanpoly.calculus import roots
 from arctanpoly.families import BuildMethod, SequenceKind, build
 from arctanpoly.highprec import (
     RootCheck,
@@ -123,6 +125,13 @@ def test_eigen_check_examples():
     assert eigen_check(8)
 
 
+def test_eigen_check_compares_charpoly_with_the_monic_reference(monkeypatch):
+    assert eigen_check(5)
+    wrong = build(SequenceKind.MONIC_PI, 5, BuildMethod.RECURRENCE) + 1
+    monkeypatch.setattr(hessenberg, "monic_reference", lambda n: wrong)
+    assert not eigen_check(5)
+
+
 def _reference_horner(poly, t):
     # every coefficient converted again at every point, with the mpf operators
     acc = mpmath.mpf(0)
@@ -139,7 +148,6 @@ def test_prepared_charpoly_matches_per_call_conversion(precision):
         dp = p.differentiate()
         with workprec(precision):
             p_mpf, dp_mpf = prepare(p), prepare(dp)
-            certified = []
             for k in range(1, n + 1):
                 node = cot_node(k, n + 1)
                 value = _reference_horner(p, node)
@@ -149,8 +157,7 @@ def test_prepared_charpoly_matches_per_call_conversion(precision):
                 ok = bool(residual <= 1e-9 * max(1, slope) and slope > 1e-9)
                 expected = RootCheck(float(residual), float(slope), ok)
                 assert certify_simple_root(p_mpf, node, derivative=dp_mpf) == expected
-                certified.append(ok)
-        assert eigen_check(n, precision) == all(certified)
+        assert eigen_check(n, precision) == roots(SequenceKind.BETA, n, precision).all_certified
 
 
 def test_matrix_json_round_trip():

@@ -151,7 +151,9 @@ def test_compare_series_examples():
 
 def test_csv_emission():
     report = partial_sum(SeriesKind.EULER, Fraction(1), 3)
-    lines = report.csv().strip().split("\n")
+    lines = list(report.csv_lines())
+    assert all(line.endswith("\n") and line.count("\n") == 1 for line in lines)
+    lines = [line.rstrip("\n") for line in lines]
     assert lines[0] == "n,term,partial_sum,abs_error"
     assert lines[1].startswith("0,1/2,1/2,")
     assert lines[2].startswith("1,1/6,2/3,")
