@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -320,6 +321,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_connect.add_argument("--h", default="0,1", help="argument polynomial, ascending coefficients")
     p_connect.add_argument("--method", help="construction to use (delegate-specific)")
     p_connect.set_defaults(handler=_cmd_connect)
+
+    # argparse takes a token for a negative number only in the forms -<int>
+    # and -<decimal>, and reads -1/3 or -1,2 as an unknown option; no option
+    # here starts with a minus and a digit, so every such token is a value
+    for p in sub.choices.values():
+        p._negative_number_matcher = re.compile(r"-\.?\d")
 
     return parser
 

@@ -26,11 +26,12 @@ import threading
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import count, islice
 from math import comb, factorial, gcd, lcm
 from operator import add, neg, sub
-from typing import Callable
+from typing import Callable, Iterator
 
-from .exact import bernoulli, binary_pow, format_rational
+from .exact import bernoulli, format_rational
 from .poly import Polynomial, _canon, _radd_scaled, _row_product, _trim
 
 
@@ -147,20 +148,6 @@ def _p_from_beta(raw: list, n: int) -> list:
     return [factor * c for c in raw]
 
 
-def _cmul(p, q):
-    # (a + ib)(c + id) on (re, im) pairs of coefficient lists
-    (a, b), (c, d) = p, q
-    return (
-        _radd_scaled(_row_product(a, c), _row_product(b, d), -1),
-        _radd_scaled(_row_product(a, d), _row_product(b, c), 1),
-    )
-
-
-def _complex_pair_pow(m: int) -> tuple[list, list]:
-    """(re, im) coefficient lists of (x + i)**m."""
-    return binary_pow(([0, 1], [1]), m, ([1], []), _cmul)
-
-
 def bracket(n: int, j: int) -> Fraction:
     """Bracket coefficient [n over j] of the monic recurrence of pi_n, exact."""
     if not 0 <= j <= n:
@@ -171,7 +158,7 @@ def bracket(n: int, j: int) -> Fraction:
 
 
 # The Bernoulli routes hold this bracket object (here as a default argument,
-# for pi in the step closure), so rebinding the module attribute leaves them.
+# for pi in its _ROUTES entry), so rebinding the module attribute leaves them.
 def _alpha_ze_coeff(n: int, j: int, bracket=bracket) -> Fraction:
     return (2 ** (j + 1) - 1) * bracket(n, j)
 
@@ -188,78 +175,61 @@ _MEMBERS: dict[tuple[SequenceKind, BuildMethod], Callable[[int], list]] = {
     # the 2F1 term ratio, in integers
     (SequenceKind.BETA, BuildMethod.HYPERGEOMETRIC): lambda n: _signed_row(n, n + 1, 1),
     (SequenceKind.ALPHA, BuildMethod.HYPERGEOMETRIC): lambda n: _signed_row(n, n, 0),
-    # binary powering of x + i
-    (SequenceKind.BETA, BuildMethod.COMPLEX_POWER): lambda n: _complex_pair_pow(n + 1)[1],
-    (SequenceKind.ALPHA, BuildMethod.COMPLEX_POWER): lambda n: _complex_pair_pow(n)[0],
-    (SequenceKind.P, BuildMethod.COMPLEX_POWER): lambda n: _p_from_beta(
-        _complex_pair_pow(n + 1)[1], n
-    ),
 }
 
 
 # ---------------------------------------------------------------------------
-# full prefixes of the power routes, stepping from one member to the next
+# stepped routes: generators of members 0, 1, 2, ...
 # ---------------------------------------------------------------------------
 
-def _seq_complex_power(n_max: int, part: str, power_shift: int) -> list[list]:
-    seq = []
-    re, im = ([1], []) if power_shift == 0 else ([0, 1], [1])
-    for _ in range(n_max + 1):
-        seq.append(list(re if part == "re" else im))
+# Each stepped route is a generator; its local variables hold the working
+# forms its next step reads, and a step runs only when the next member is
+# asked for.
+
+def _complex_power(part: str, shift: int):
+    """Raw coefficient lists of the ``part`` ("re" or "im") of (x + i)**(n + shift)."""
+    re, im = ([1], []) if shift == 0 else ([0, 1], [1])
+    while True:
+        yield re if part == "re" else im
         re, im = (
             _radd_scaled([0] + re, im, -1),  # x*re - im
             _radd_scaled([0] + im, re, 1),  # x*im + re
         )
-    return seq
 
 
-_POWER_PREFIXES = {
-    (SequenceKind.BETA, BuildMethod.COMPLEX_POWER): lambda n: _seq_complex_power(n, "im", 1),
-    (SequenceKind.ALPHA, BuildMethod.COMPLEX_POWER): lambda n: _seq_complex_power(n, "re", 0),
-    (SequenceKind.P, BuildMethod.COMPLEX_POWER): lambda n: [
-        _p_from_beta(raw, k) for k, raw in enumerate(_seq_complex_power(n, "im", 1))
-    ],
-}
+def _three_term(seed: tuple[list, list], wrap: Callable[[list, int], Polynomial]):
+    """Members of the three-term recurrence from the forms of members 0 and 1;
+    ``wrap(form, n)`` turns the form of member n into the polynomial."""
+    prev, cur = seed
+    yield wrap(prev, 0)
+    for n in count(1):
+        yield wrap(cur, n)
+        prev, cur = cur, _three_term_step(cur, prev)
 
 
-# ---------------------------------------------------------------------------
-# cached routes: seed members plus a step to the next member
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _Route:
-    """One cached construction: member n+1 from the members before it.
-
-    ``seed`` holds the route's own working form of members 0..len-1,
-    ``step(work, n)`` returns the form of member n+1 from the forms up to
-    member n, and ``wrap(form, n)`` turns the form of member n into the
-    polynomial handed out.  With a ``window`` the step reads only that many
-    trailing forms, and the cache keeps no others.  The default wrap
-    canonicalizes every coefficient; routes whose forms are all ints use
-    ``_wrap_int``, which only trims.
-    """
-
-    seed: tuple
-    step: Callable[[list, int], object]
-    wrap: Callable[[object, int], Polynomial] = lambda raw, n: _wrap(raw)
-    window: int | None = None
+def _pi_quotient(raw: list, n: int) -> Polynomial:
+    # pi_n as the quotient beta_n/(n+1) on top of the beta recurrence
+    return _wrap([Fraction(c, n + 1) for c in raw])
 
 
-def _three_term_next(work: list, n: int) -> list:
-    return _three_term_step(work[-1], work[-2])
+def _derivative(step: Callable[[list, int], list]):
+    """Members of a derivative recurrence from member 0 = 1;
+    ``step(cur, n)`` gives member n+1 from member n."""
+    cur = [1]
+    for n in count():
+        yield _wrap(cur)
+        cur = step(cur, n)
 
 
-def _p_derivative_step(work: list, n: int) -> list:
+def _p_derivative_step(cur: list, n: int) -> list:
     # P_{n+1} = (1+x^2) P_n' - 2(n+1) x P_n
-    cur = work[-1]
     d = [i * cur[i] for i in range(1, len(cur))]
     nxt = _radd_scaled(list(d), [0, 0] + d, 1)
     return _radd_scaled(nxt, [0] + cur, -2 * (n + 1))
 
 
-def _beta_derivative_step(work: list, n: int) -> list:
+def _beta_derivative_step(cur: list, n: int) -> list:
     # beta_{n+1} = 2x beta_n - (1+x^2) beta_n' / (n+1)
-    cur = work[-1]
     d = [i * cur[i] for i in range(1, len(cur))]
     nxt = [0] + [2 * c for c in cur]
     inv = Fraction(1, n + 1)
@@ -267,22 +237,23 @@ def _beta_derivative_step(work: list, n: int) -> list:
     return _radd_scaled(nxt, [0, 0] + d, -inv)
 
 
-def _monic_bernoulli_step(coeff):
-    """Step of the monic recurrence p_{n+1} = x p_n - sum_j coeff(n, j) p_{n-j}.
+def _monic_bernoulli(coeff: Callable[[int, int], Fraction]):
+    """Members of the monic recurrence p_{n+1} = x p_n - sum_j coeff(n, j) p_{n-j}.
 
     Members are kept fraction-free, as (numerators, denominator).  A step
     scales every term to the lcm of its denominators, accumulates in ints and
     divides the content gcd out once; only odd offsets j contribute, since
     the even ones carry B_{odd>=3} = 0.
     """
-
-    def step(work: list, n: int) -> tuple[list, int]:
-        cur, cur_den = work[n]
+    forms = [([1], 1)]
+    for n in count():
+        cur, cur_den = forms[n]
+        yield _wrap(cur if cur_den == 1 else [Fraction(v, cur_den) for v in cur])
         terms = []
         den = cur_den
         for j in range(1, n + 1, 2):
             c = coeff(n, j)
-            nums, nums_den = work[n - j]
+            nums, nums_den = forms[n - j]
             term_den = c.denominator * nums_den
             terms.append((c.numerator, term_den, nums))
             den = lcm(den, term_den)
@@ -297,66 +268,44 @@ def _monic_bernoulli_step(coeff):
         if g != 1:
             out = [v // g for v in out]
             den //= g
-        return out, den
-
-    return step
+        forms.append((out, den))
 
 
-def _wrap_fraction_free(form: tuple[list, int], n: int) -> Polynomial:
-    nums, den = form
-    return _wrap(nums if den == 1 else [Fraction(v, den) for v in nums])
+# The stepped routes, each as (generator, *args) so that two routes compare
+# by value.  The complex powers yield raw lists (P takes the beta ones
+# through _p_from_beta) and keep no prefix: stepping to member n costs about
+# as much as the whole prefix, and verify reads each of them once.
+_POWER_ROUTES: dict[tuple[SequenceKind, BuildMethod], tuple] = {
+    (SequenceKind.BETA, BuildMethod.COMPLEX_POWER): (_complex_power, "im", 1),
+    (SequenceKind.ALPHA, BuildMethod.COMPLEX_POWER): (_complex_power, "re", 0),
+    (SequenceKind.P, BuildMethod.COMPLEX_POWER): (_complex_power, "im", 1),
+}
 
-
-_ROUTES: dict[tuple[SequenceKind, BuildMethod], _Route] = {
-    (SequenceKind.BETA, BuildMethod.RECURRENCE): _Route(
-        ([1], [0, 2]), _three_term_next, _wrap_int, window=2
-    ),
-    (SequenceKind.ALPHA, BuildMethod.RECURRENCE): _Route(
-        ([1], [0, 1]), _three_term_next, _wrap_int, window=2
-    ),
-    # pi_n as the quotient beta_n/(n+1) on top of the beta recurrence
-    (SequenceKind.MONIC_PI, BuildMethod.RECURRENCE): _Route(
-        ([1], [0, 2]),
-        _three_term_next,
-        lambda raw, n: _wrap([Fraction(c, n + 1) for c in raw]),
-        window=2,
-    ),
-    (SequenceKind.MONIC_PI, BuildMethod.MONIC_BERNOULLI): _Route(
-        (([1], 1),), _monic_bernoulli_step(bracket), _wrap_fraction_free
-    ),
-    (SequenceKind.ALPHA, BuildMethod.MONIC_BERNOULLI): _Route(
-        (([1], 1),), _monic_bernoulli_step(_alpha_ze_coeff), _wrap_fraction_free
-    ),
-    (SequenceKind.P, BuildMethod.DERIVATIVE_RECURRENCE): _Route(
-        ([1],), _p_derivative_step, window=1
-    ),
-    (SequenceKind.BETA, BuildMethod.DERIVATIVE_RECURRENCE): _Route(
-        ([1],), _beta_derivative_step, window=1
-    ),
+# These yield polynomials into the prefix cache.
+_ROUTES: dict[tuple[SequenceKind, BuildMethod], tuple] = {
+    (SequenceKind.BETA, BuildMethod.RECURRENCE): (_three_term, ([1], [0, 2]), _wrap_int),
+    (SequenceKind.ALPHA, BuildMethod.RECURRENCE): (_three_term, ([1], [0, 1]), _wrap_int),
+    (SequenceKind.MONIC_PI, BuildMethod.RECURRENCE): (_three_term, ([1], [0, 2]), _pi_quotient),
+    (SequenceKind.MONIC_PI, BuildMethod.MONIC_BERNOULLI): (_monic_bernoulli, bracket),
+    (SequenceKind.ALPHA, BuildMethod.MONIC_BERNOULLI): (_monic_bernoulli, _alpha_ze_coeff),
+    (SequenceKind.P, BuildMethod.DERIVATIVE_RECURRENCE): (_derivative, _p_derivative_step),
+    (SequenceKind.BETA, BuildMethod.DERIVATIVE_RECURRENCE): (_derivative, _beta_derivative_step),
 }
 
 
-# The supported (kind, method) pairs are exactly the keys of the two tables.
+# The supported (kind, method) pairs are exactly the keys of the three tables.
 SUPPORTED_METHODS: dict[SequenceKind, frozenset[BuildMethod]] = {
-    kind: frozenset(m for k, m in (*_MEMBERS, *_ROUTES) if k is kind) for kind in SequenceKind
+    kind: frozenset(m for k, m in (*_MEMBERS, *_POWER_ROUTES, *_ROUTES) if k is kind)
+    for kind in SequenceKind
 }
 
 
-class _Prefix:
-    """Cached members 0..len-1 of one route and the working forms its step reads."""
-
-    __slots__ = ("members", "work")
-
-    def __init__(self, route: _Route):
-        self.work = list(route.seed)
-        self.members = [route.wrap(form, n) for n, form in enumerate(self.work)]
-
-
-# Prefix caches of the routes above.  A cache only grows: under the lock,
-# build_sequence steps from the last cached member and appends each finished
-# polynomial, and it never rebuilds a member it already has, so readers
-# outside the lock can slice a shared list safely.
-_prefix_cache: dict[tuple[SequenceKind, BuildMethod], _Prefix] = {}
+# Prefix caches of _ROUTES, each (members, generator).  A cache only grows:
+# under the lock, build_sequence draws the next members from the generator
+# and appends each finished polynomial, so readers outside the lock can
+# slice a shared list safely.  A generator that raised is finished, so its
+# entry is dropped and the next request starts the route again.
+_prefix_cache: dict[tuple[SequenceKind, BuildMethod], tuple[list[Polynomial], Iterator]] = {}
 _prefix_lock = threading.Lock()
 
 
@@ -365,22 +314,13 @@ def _check_pair(kind: SequenceKind, method: BuildMethod) -> None:
         raise UnsupportedPairError(f"no {method.value} construction for kind {kind.value}")
 
 
-def _extend(key: tuple[SequenceKind, BuildMethod], n_max: int) -> _Prefix:
-    """The cached prefix of ``key``, grown to hold member n_max (lock held)."""
-    route = _ROUTES[key]
-    prefix = _prefix_cache.get(key)
-    if prefix is None:
-        prefix = _prefix_cache[key] = _Prefix(route)
-    members, work = prefix.members, prefix.work
-    while len(members) <= n_max:
-        n = len(members) - 1
-        form = route.step(work, n)
-        member = route.wrap(form, n + 1)
-        work.append(form)
-        if route.window is not None:
-            del work[: -route.window]
-        members.append(member)
-    return prefix
+def _power_members(key: tuple[SequenceKind, BuildMethod], start: int, stop: int) -> Iterator:
+    """Raw members start..stop-1 of a complex-power route."""
+    generator, *args = _POWER_ROUTES[key]
+    raws = islice(generator(*args), start, stop)
+    if key[0] is SequenceKind.P:
+        return map(_p_from_beta, raws, count(start))
+    return raws
 
 
 def build_sequence(
@@ -392,36 +332,46 @@ def build_sequence(
     method = method or DEFAULT_METHOD[kind]
     _check_pair(kind, method)
     key = (kind, method)
-    if key not in _ROUTES:
-        if key in _POWER_PREFIXES:
-            raws = _POWER_PREFIXES[key](n_max)
-        else:
-            raws = map(_MEMBERS[key], range(n_max + 1))
-        return [_wrap(raw) for raw in raws]
-    prefix = _prefix_cache.get(key)
-    if prefix is None or len(prefix.members) <= n_max:
+    if key in _MEMBERS:
+        return [_wrap(_MEMBERS[key](n)) for n in range(n_max + 1)]
+    if key in _POWER_ROUTES:
+        return [_wrap(raw) for raw in _power_members(key, 0, n_max + 1)]
+    entry = _prefix_cache.get(key)
+    if entry is None or len(entry[0]) <= n_max:
         with _prefix_lock:
-            prefix = _extend(key, n_max)
-    return prefix.members[: n_max + 1]
+            if key not in _prefix_cache:
+                generator, *args = _ROUTES[key]
+                _prefix_cache[key] = ([], generator(*args))
+            entry = members, steps = _prefix_cache[key]
+            try:
+                # another thread may have grown the prefix since the check
+                members.extend(islice(steps, max(n_max + 1 - len(members), 0)))
+            except BaseException:
+                del _prefix_cache[key]
+                raise
+    return entry[0][: n_max + 1]
 
 
 def build(kind: SequenceKind, n: int, method: BuildMethod | None = None) -> Polynomial:
     """Exact member n of the family by the requested construction.
 
-    The uncached routes build member n alone (complex powers by binary
-    powering); the recurrence-style methods read member n from the
-    shared prefix cache, which steps forward from its last cached member
-    when n is new.  Without a method this uses ``DEFAULT_METHOD``, the
-    cached routes a growing session reuses; ``SINGLE_MEMBER_METHOD`` names
-    the fastest route for one member built alone.
+    The binomial routes build member n alone and the complex powers step to
+    it without keeping the members before it; the recurrence-style methods
+    read member n from the shared prefix cache, which steps forward from its
+    last cached member when n is new.  Without a method this uses
+    ``DEFAULT_METHOD``, the cached routes a growing session reuses;
+    ``SINGLE_MEMBER_METHOD`` names the fastest route for one member built
+    alone.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     method = method or DEFAULT_METHOD[kind]
     _check_pair(kind, method)
-    member = _MEMBERS.get((kind, method))
-    if member is not None:
-        return _wrap(member(n))
+    key = (kind, method)
+    if key in _MEMBERS:
+        return _wrap(_MEMBERS[key](n))
+    if key in _POWER_ROUTES:
+        return _wrap(next(_power_members(key, n, n + 1)))
     return build_sequence(kind, n, method)[n]
 
 

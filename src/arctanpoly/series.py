@@ -199,9 +199,12 @@ class ComparisonRow:
 def compare_series(x: Fraction, tolerance: float, max_terms: int = 2000) -> list[ComparisonRow]:
     """Terms needed by each series to push the measured error below tolerance.
 
-    A tolerance that is not a finite positive number raises ValueError.
+    A tolerance that is not a finite positive number, or a ``max_terms``
+    past MAX_TERMS, raises ValueError.
     """
     _check_tolerance(tolerance)
+    if max_terms > MAX_TERMS:
+        raise ValueError(f"max_terms must be at most {MAX_TERMS}, got {max_terms}")
     x = Fraction(x)
     target = atan_reference(x, ERROR_TRACKING_BITS)
     out = []

@@ -6,6 +6,7 @@ function silently drops out of the per-layer metrics.  This guard runs with
 the library's own tests.
 """
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -36,3 +37,10 @@ def test_direct_bindings_the_tracer_rebinds_exist(holder, attr, owner):
     # imported, so each must be the owner's own function under the same name
     bound = getattr(importlib.import_module(holder), attr)
     assert bound is getattr(importlib.import_module(owner), attr)
+
+
+def test_build_sequence_keeps_its_n_max_parameter():
+    # the tracer binds build_sequence's arguments and reads "n_max" by name
+    from arctanpoly.families import build_sequence
+
+    assert "n_max" in inspect.signature(build_sequence).parameters

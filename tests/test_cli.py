@@ -105,12 +105,12 @@ def test_poly_json_names_an_explicit_method(capsys):
 
 def test_poly_one_shot_route_leaves_the_prefix_caches_alone(capsys, monkeypatch):
     keys = [(kind, BuildMethod.RECURRENCE) for kind in (SequenceKind.BETA, SequenceKind.ALPHA)]
-    for key in keys:  # seed members only, so an earlier test cannot have cached member 300
-        monkeypatch.setitem(families._prefix_cache, key, families._Prefix(families._ROUTES[key]))
-    before = [len(families._prefix_cache[key].members) for key in keys]
+    for key in keys:  # an empty prefix, so an earlier test cannot have cached member 300
+        generator, *args = families._ROUTES[key]
+        monkeypatch.setitem(families._prefix_cache, key, ([], generator(*args)))
     code, out, _ = run_cli(capsys, "poly", "--kind", "beta", "--n", "300")
     assert code == 0 and out.startswith("301x^300 - ")
-    assert [len(families._prefix_cache[key].members) for key in keys] == before
+    assert [len(families._prefix_cache[key][0]) for key in keys] == [0, 0]
 
 
 def test_poly_method_help_names_each_default(capsys):
@@ -129,6 +129,29 @@ def test_deriv_examples(capsys):
     assert out.strip() == "1"
     code, out, _ = run_cli(capsys, "deriv", "--func", "artanh", "--n", "2", "--x", "1/2")
     assert out.strip() == "16/9"
+
+
+@pytest.mark.parametrize(
+    "command, option, value, first_line",
+    [
+        (["deriv", "--func", "arctan", "--n", "2"], "--x", "-1/3", "27/50"),
+        (["connect", "--what", "fibonacci", "--n", "3"], "--h", "-1,2", "4x^2 - 4x + 2"),
+        (
+            ["series", "--kind", "beta", "--terms", "2"],
+            "--x",
+            "-5/2",
+            "target arctan(-5/2) = -1.1902899496825317",
+        ),
+    ],
+)
+def test_negative_value_as_a_separate_argument(capsys, command, option, value, first_line):
+    # "--x -1/3" reads as "--x=-1/3", though argparse's own negative-number
+    # test accepts only -<int> and -<decimal>
+    separate = run_cli(capsys, *command, option, value)
+    assert separate == run_cli(capsys, *command, f"{option}={value}")
+    code, out, err = separate
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == first_line
 
 
 def test_deriv_json(capsys):

@@ -102,13 +102,40 @@ def test_single_builds_match_sequence_builds():
                 ], (kind, method, n)
 
 
-def test_no_cached_route_is_an_alias_of_another():
-    # a route equal to another (same seed, step, wrap and window) computes
-    # the same thing, and its cross-check rows would compare it with itself
+def test_no_stepped_route_is_an_alias_of_another():
+    # a route equal to another (same generator and arguments) computes the
+    # same thing, and its cross-check rows would compare it with itself
     for kind in SequenceKind:
-        routes = [route for (k, _), route in fam._ROUTES.items() if k is kind]
+        routes = [
+            route
+            for table in (fam._POWER_ROUTES, fam._ROUTES)
+            for (k, _), route in table.items()
+            if k is kind
+        ]
         for i, a in enumerate(routes):
             assert all(a != b for b in routes[i + 1 :]), kind
+
+
+def test_each_supported_pair_is_in_exactly_one_table():
+    tables = (fam._MEMBERS, fam._POWER_ROUTES, fam._ROUTES)
+    for kind in SequenceKind:
+        for method in SUPPORTED_METHODS[kind]:
+            assert sum((kind, method) in table for table in tables) == 1, (kind, method)
+    assert sum(map(len, tables)) == sum(map(len, SUPPORTED_METHODS.values()))
+
+
+@pytest.mark.parametrize(
+    "kind, method",
+    [
+        (SequenceKind.BETA, BuildMethod.HYPERGEOMETRIC),
+        (SequenceKind.ALPHA, BuildMethod.HYPERGEOMETRIC),
+        (SequenceKind.P, BuildMethod.EXPLICIT),
+    ],
+)
+def test_single_complex_power_matches_a_binomial_route_at_large_n(kind, method):
+    # build and build_sequence share the stepping generator, so the check
+    # above compares complex power with itself; this one reads another route
+    assert build(kind, 1200, BuildMethod.COMPLEX_POWER) == build(kind, 1200, method)
 
 
 def _raise(*args):
@@ -245,7 +272,7 @@ def test_egf_reads_the_recurrence_prefix(monkeypatch):
     key = (SequenceKind.BETA, BuildMethod.RECURRENCE)
     monkeypatch.setattr(fam, "_prefix_cache", {})  # the shared cache is restored afterwards
     build_sequence(SequenceKind.BETA, 10, BuildMethod.RECURRENCE)
-    members = fam._prefix_cache[key].members
+    members = fam._prefix_cache[key][0]
     members[7] = members[7] + 1
     assert not verify_egf(SequenceKind.BETA, Fraction(1, 2), 10)
     assert verify_egf(SequenceKind.BETA, Fraction(1, 2), 7)
@@ -350,6 +377,31 @@ def test_prefix_cache_only_appends(monkeypatch, kind, method):
         assert all(a is b for a, b in zip(previous, current))
         previous = current
     assert build(kind, 45, method) is previous[45]
+
+
+def test_prefix_cache_survives_a_failed_step(monkeypatch):
+    kind, method = SequenceKind.MONIC_PI, BuildMethod.MONIC_BERNOULLI
+    monkeypatch.setattr(fam, "_prefix_cache", {})
+    cold = build_sequence(kind, 20, method)
+    monkeypatch.setattr(fam, "_prefix_cache", {})
+    build_sequence(kind, 5, method)
+    real_bernoulli = fam.bernoulli
+    failed = []
+
+    def interrupt_once(m):
+        if m >= 11 and not failed:
+            failed.append(m)
+            raise KeyboardInterrupt
+        return real_bernoulli(m)
+
+    monkeypatch.setattr(fam, "bernoulli", interrupt_once)
+    with pytest.raises(KeyboardInterrupt):
+        build_sequence(kind, 20, method)
+    assert failed
+    monkeypatch.setattr(fam, "bernoulli", real_bernoulli)
+    again = build_sequence(kind, 20, method)
+    assert len(again) == 21
+    assert again == cold
 
 
 @pytest.mark.parametrize(

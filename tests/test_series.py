@@ -168,6 +168,13 @@ def test_input_validation():
     assert len(partial_sum(SeriesKind.EULER, Fraction(0), MAX_TERMS).rows) == MAX_TERMS
     with pytest.raises(ValueError, match=f"at most {MAX_TERMS}, got {MAX_TERMS + 1}"):
         partial_sum(SeriesKind.EULER, Fraction(0), MAX_TERMS + 1)
+    # compare_series's error column is a 512-bit mpf, so a tolerance below
+    # about 1e-154 is never reached and its walk runs to max_terms; at x = 0
+    # the first term meets any tolerance
+    rows = compare_series(Fraction(0), 1e-6, MAX_TERMS)
+    assert [row.terms_to_tolerance for row in rows] == [1, 1]
+    with pytest.raises(ValueError, match=f"at most {MAX_TERMS}, got {MAX_TERMS + 1}"):
+        compare_series(Fraction(1), 1e-300, MAX_TERMS + 1)
     with pytest.raises(ValueError):
         pi_approx(SeriesKind.EULER, 0.0)
 
