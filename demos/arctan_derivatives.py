@@ -1,8 +1,11 @@
 """High-order derivatives of arctan and artanh, by three independent routes.
 
-Exact rational values come from the polynomial family P via
+Exact rational values come from the paper's explicit formula for the
+polynomial family P, d^n/dx^n arctan(x) = P_{n-1}(x) / (1+x^2)^n with
+P_{n-1}(x) = (-1)^(n-1) (n-1)! Im((x+i)^n), taken at x = p/q as one
+Gaussian-integer power,
 
-    d^n/dx^n arctan(x) = P_{n-1}(x) / (1+x^2)^n,
+    d^n/dx^n arctan(p/q) = (n-1)! Im((-p+iq)^n) q^n / (p^2+q^2)^n,
 
 cross-checked against a Chebyshev closed form evaluated in 128-bit floats
 and against central finite differences of mpmath's arctan.

@@ -1,8 +1,13 @@
 """High-order derivatives of arctan/artanh, root sets, and ODE checks.
 
-The n-th derivative of arctan is P_{n-1}(x) / (1+x^2)^n with P as built by
-the family module, so derivative values here are exact rationals.  The
-float route through Chebyshev polynomials of the second kind,
+The n-th derivative of arctan is P_{n-1}(x) / (1+x^2)^n.  The paper's
+explicit formula P_m(x) = (-1)^m m! Im((x+i)^(m+1)) turns this, at a
+rational x = p/q, into one Gaussian-integer power,
+
+    d^n/dx^n arctan(p/q) = (n-1)! Im((-p+iq)^n) q^n / (p^2+q^2)^n,
+
+so derivative values here are exact rationals and no member of P is built.
+The float route through Chebyshev polynomials of the second kind,
 
     d^n/dx^n arctan(x) = (n-1)!/(1+x^2)^((n+1)/2) * U_{n-1}(-x/sqrt(1+x^2)),
 
@@ -15,6 +20,7 @@ from fractions import Fraction
 from math import factorial
 
 from . import families, highprec
+from .exact import GaussianInt, gaussian_pow
 from .families import BuildMethod, SequenceKind
 from .highprec import (
     DEFAULT_PRECISION,
@@ -35,24 +41,62 @@ class PoleError(ValueError):
     """Evaluation requested at a pole of the function."""
 
 
+# Largest exact derivative value computed, as a bound on the bits of its
+# numerator plus denominator before reduction (see _check_result_size).  The
+# largest values it accepts take up to about 0.5 s to compute and print
+# through ``arctanpoly deriv`` on a 2-vCPU host, interpreter start included.
+MAX_RESULT_BITS = 2**19
+
+
+def _check_result_size(n: int, x: Fraction) -> None:
+    """Refuse an order and point whose exact value could exceed MAX_RESULT_BITS.
+
+    With x = p/q and b = max(bit length of p, q, 1), (n-1)! has at most
+    n*bitlen(n) bits and |p|+q and p^2+q^2 are below 2^(b+1) and 2^(2b+1), so
+    either derivative's numerator and denominator before reduction have at
+    most n*(bitlen(n) + 4b + 2) bits together.  The bound takes no power.
+    """
+    b = max(x.numerator.bit_length(), x.denominator.bit_length(), 1)
+    bits = n * (n.bit_length() + 4 * b + 2)
+    if bits > MAX_RESULT_BITS:
+        raise ValueError(
+            f"derivative of order {n} at a point with {b}-bit terms may need "
+            f"{bits} bits, more than MAX_RESULT_BITS = {MAX_RESULT_BITS}"
+        )
+
+
 def arctan_nth_derivative(n: int, x: Fraction) -> Fraction:
-    """Exact value of the n-th derivative of arctan at a rational point."""
+    """Exact value of the n-th derivative of arctan at a rational point.
+
+    With x = p/q this is (n-1)! Im((-p+iq)^n) q^n / (p^2+q^2)^n, the paper's
+    P_{n-1}(x) / (1+x^2)^n with P_{n-1} in its complex-power form.  Raises
+    ValueError for n < 1 and above MAX_RESULT_BITS.
+    """
     if n < 1:
         raise ValueError("derivative order must be >= 1")
     x = Fraction(x)
-    numerator = families.build(SequenceKind.P, n - 1, BuildMethod.EXPLICIT).evaluate(x)
-    return Fraction(numerator) / (1 + x * x) ** n
+    _check_result_size(n, x)
+    p, q = x.numerator, x.denominator
+    w = gaussian_pow(GaussianInt(-p, q), n)
+    return Fraction(factorial(n - 1) * w.im * q**n, (p * p + q * q) ** n)
 
 
 def artanh_nth_derivative(n: int, x: Fraction) -> Fraction:
-    """Exact n-th derivative of artanh: (n-1)!/(2(1-x^2)^n) ((x+1)^n - (x-1)^n)."""
+    """Exact n-th derivative of artanh: (n-1)!/(2(1-x^2)^n) ((x+1)^n - (x-1)^n).
+
+    With x = p/q this is (n-1)! ((p+q)^n - (p-q)^n) q^n / (2 (q^2-p^2)^n).
+    Raises PoleError at x = 1 and x = -1, and ValueError for n < 1 and above
+    MAX_RESULT_BITS.
+    """
     if n < 1:
         raise ValueError("derivative order must be >= 1")
     x = Fraction(x)
     if x == 1 or x == -1:
         raise PoleError("artanh derivatives have poles at x = 1 and x = -1")
-    diff = (x + 1) ** n - (x - 1) ** n
-    return Fraction(factorial(n - 1)) * diff / (2 * (1 - x * x) ** n)
+    _check_result_size(n, x)
+    p, q = x.numerator, x.denominator
+    diff = (p + q) ** n - (p - q) ** n
+    return Fraction(factorial(n - 1) * diff * q**n, 2 * (q * q - p * p) ** n)
 
 
 def chebyshev_derivative_form(n: int, x: Fraction, precision_bits: int = DEFAULT_PRECISION):

@@ -168,9 +168,9 @@ _MEMBERS: dict[tuple[SequenceKind, BuildMethod], Callable[[int], list]] = {
     # direct binomials, one math.comb call per coefficient
     (SequenceKind.BETA, BuildMethod.EXPLICIT): lambda n: _binomial_row(n, n + 1, 1),
     (SequenceKind.ALPHA, BuildMethod.EXPLICIT): lambda n: _binomial_row(n, n, 0),
-    # term ratio: P has no second binomial route to cross-check, and single
-    # derivatives build it at n in the thousands, where math.comb per
-    # coefficient costs several times as much
+    # term ratio: P has no second binomial route to cross-check, and
+    # `poly --kind p` builds it alone at n in the thousands, where math.comb
+    # per coefficient costs several times as much
     (SequenceKind.P, BuildMethod.EXPLICIT): _p_explicit,
     # the 2F1 term ratio, in integers
     (SequenceKind.BETA, BuildMethod.HYPERGEOMETRIC): lambda n: _signed_row(n, n + 1, 1),

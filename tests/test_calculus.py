@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from arctanpoly import calculus
 from arctanpoly.calculus import (
+    MAX_RESULT_BITS,
     PoleError,
     arctan_nth_derivative,
     artanh_nth_derivative,
@@ -45,6 +47,90 @@ def test_arctan_derivative_matches_taylor_coefficients():
         assert arctan_nth_derivative(n, Fraction(0)) == (-1) ** k * factorial(n) // n
         if n + 1 <= 15:
             assert arctan_nth_derivative(n + 1, Fraction(0)) == 0
+
+
+# The paper's route: d^n/dx^n arctan(x) = P_{n-1}(x) / (1+x^2)^n, with the
+# member P_{n-1} built as a polynomial and evaluated.  The library takes one
+# Gaussian-integer power instead, so these compare two computations.
+P_ORACLE_POINTS = [
+    Fraction(0),
+    Fraction(1, 2),
+    Fraction(-1, 2),
+    Fraction(-5, 6),
+    Fraction(3),
+    Fraction(-7, 2),
+    Fraction(10**6 + 3, 7),
+]
+
+
+def _p_route(p_member, n, x):
+    return Fraction(p_member.evaluate(x)) / (1 + x * x) ** n
+
+
+@pytest.mark.parametrize(
+    "method",
+    [BuildMethod.EXPLICIT, BuildMethod.DERIVATIVE_RECURRENCE, BuildMethod.COMPLEX_POWER],
+)
+def test_arctan_derivative_matches_the_p_route(method):
+    for n in range(1, 81):
+        p_member = build(SequenceKind.P, n - 1, method)
+        for x in P_ORACLE_POINTS:
+            got = arctan_nth_derivative(n, x)
+            assert type(got) is Fraction
+            assert got == _p_route(p_member, n, x), (n, x)
+
+
+@pytest.mark.parametrize("n", [500, 1000, 3000])
+def test_arctan_derivative_matches_the_p_route_at_large_n(n):
+    p_member = build(SequenceKind.P, n - 1, BuildMethod.EXPLICIT)
+    for x in P_ORACLE_POINTS:
+        got = arctan_nth_derivative(n, x)
+        assert type(got) is Fraction
+        assert got == _p_route(p_member, n, x), x
+
+
+def test_derivatives_build_no_polynomial(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a derivative built or evaluated a polynomial")
+
+    monkeypatch.setattr(calculus.families, "build", refuse)
+    monkeypatch.setattr(Polynomial, "evaluate", refuse)
+    assert arctan_nth_derivative(3, Fraction(0)) == -2
+    assert arctan_nth_derivative(2, Fraction(1)) == Fraction(-1, 2)
+    assert artanh_nth_derivative(2, Fraction(1, 2)) == Fraction(16, 9)
+
+
+def _result_bound(n, x):
+    b = max(x.numerator.bit_length(), x.denominator.bit_length(), 1)
+    return n * (n.bit_length() + 4 * b + 2)
+
+
+def test_result_bound_holds():
+    points = P_ORACLE_POINTS + [Fraction(1), Fraction(-1), Fraction(-(2**40 - 1), 2**40 - 3)]
+    for n in list(range(1, 41)) + [100, 777]:
+        for x in points:
+            values = [arctan_nth_derivative(n, x)]
+            if abs(x) != 1:
+                values.append(artanh_nth_derivative(n, x))
+            for v in values:
+                assert v.numerator.bit_length() + v.denominator.bit_length() <= _result_bound(n, x)
+
+
+def test_result_size_cap_boundary():
+    # -5/6 has b = 3, so the bound is n * (bitlen(n) + 14); n = 18078 is the
+    # last order under the cap.  Only the check runs at the boundary: the
+    # values themselves are never computed there.
+    x = Fraction(-5, 6)
+    assert _result_bound(18078, x) <= MAX_RESULT_BITS < _result_bound(18079, x)
+    calculus._check_result_size(18078, x)
+    for derivative in (arctan_nth_derivative, artanh_nth_derivative):
+        with pytest.raises(ValueError, match="MAX_RESULT_BITS"):
+            derivative(18079, x)
+    # a long literal is refused at a small order
+    wide = Fraction(10**1300 + 1, 3)
+    assert _result_bound(99, wide) > MAX_RESULT_BITS
+    with pytest.raises(ValueError, match="MAX_RESULT_BITS"):
+        arctan_nth_derivative(99, wide)
 
 
 def test_artanh_derivative_examples():

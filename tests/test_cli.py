@@ -246,6 +246,17 @@ def test_deriv_pole_exits_2(capsys):
     assert "pole" in err.lower()
 
 
+def test_deriv_result_size_cap_exits_2(capsys):
+    # -5/6 at order 18078 is the last value under calculus.MAX_RESULT_BITS;
+    # only the refused order just past it runs here
+    for func in ("arctan", "artanh"):
+        code, out, err = run_cli(capsys, "deriv", "--func", func, "--n", "18079", "--x", "-5/6")
+        assert code == 2
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and "MAX_RESULT_BITS" in lines[0]
+
+
 def test_deriv_float_x_rejected(capsys):
     code, _, err = run_cli(capsys, "deriv", "--func", "arctan", "--n", "1", "--x", "0.5")
     assert code == 2

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from arctanpoly.calculus import arctan_nth_derivative, artanh_nth_derivative
 from arctanpoly.chebyshev import ChebyshevKind, chebyshev
 from arctanpoly.exact import bernoulli
 from arctanpoly.families import BuildMethod, SequenceKind, build
@@ -45,3 +46,18 @@ def test_bernoulli_matches_sympy():
     for n in range(2, N_MAX + 1):
         b = sympy.bernoulli(n)
         assert bernoulli(n) == Fraction(int(b.p), int(b.q)), n
+
+
+@pytest.mark.parametrize(
+    "function, derivative",
+    [(sympy.atan, arctan_nth_derivative), (sympy.atanh, artanh_nth_derivative)],
+)
+def test_derivatives_match_sympy_diff(function, derivative):
+    points = [Fraction(0), Fraction(1, 2), Fraction(-5, 6), Fraction(3), Fraction(-7, 2)]
+    expr = function(X)
+    for n in range(1, 31):
+        expr = sympy.diff(expr, X)
+        for x in points:
+            value = expr.subs(X, sympy.Rational(x.numerator, x.denominator))
+            assert value.is_Rational, (n, x)
+            assert derivative(n, x) == Fraction(int(value.p), int(value.q)), (n, x)
