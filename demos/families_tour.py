@@ -28,10 +28,11 @@ print("=" * 72)
 print("EVERY CONSTRUCTION GIVES THE SAME POLYNOMIALS")
 print("=" * 72)
 print("""
-The same family member can be built by a three-term recurrence, an explicit
-binomial sum, powers of x+i, terminating hypergeometric sums,
-Bernoulli-weighted monic recurrences, or a derivative recursion. The explicit sum takes each binomial directly from math.comb; the
-hypergeometric sum steps from term to term by the integer 2F1 term ratio.
+The same beta member can be built by a three-term recurrence, an explicit
+binomial sum, powers of x+i, or a terminating hypergeometric sum; alpha also
+by a Bernoulli-weighted monic recurrence, and P by the paper's derivative
+recurrence. The explicit sum takes each binomial directly from math.comb;
+the hypergeometric sum steps from term to term by the integer 2F1 term ratio.
 """)
 n_show = 7
 for method in BuildMethod:

@@ -223,26 +223,24 @@ def _cmd_connect(args) -> int:
         ratio = connections.tan_multiple(args.n)
         print(f"({ratio.numerator.pretty()}) / ({ratio.denominator.pretty()})  [{ratio.parity} n]")
         return EXIT_OK
-    if args.what in ("fibonacci", "lucas"):
+    fibonacci = args.what in ("fibonacci", "lucas")
+    methods = connections.FibonacciMethod if fibonacci else connections.MatchingMethod
+    valid = [m.value for m in methods]
+    if args.method and args.method not in valid:
+        raise ValueError(
+            f"--method for --what {args.what} must be one of {', '.join(valid)}, "
+            f"got {args.method!r}"
+        )
+    if fibonacci:
         h = _parse_poly_arg(args.h)
         fn = connections.fibonacci_poly if args.what == "fibonacci" else connections.lucas_poly
-        method = (
-            connections.FibonacciMethod(args.method)
-            if args.method
-            else connections.FibonacciMethod.RECURRENCE_ORACLE
-        )
-        print(fn(args.n, h, method).pretty())
+        print(fn(args.n, h, methods(args.method or "recurrence")).pretty())
         return EXIT_OK
     family = (
         connections.GraphFamily.PATH if args.what == "matching-path" else connections.GraphFamily.CYCLE
     )
     graph = connections.GraphKind(family, args.n)
-    method = (
-        connections.MatchingMethod(args.method)
-        if args.method
-        else connections.MatchingMethod.ENUMERATION
-    )
-    print(connections.matching_poly(graph, method).pretty())
+    print(connections.matching_poly(graph, methods(args.method or "enumeration")).pretty())
     return EXIT_OK
 
 

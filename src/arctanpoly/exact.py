@@ -14,8 +14,6 @@ from fractions import Fraction
 from math import comb
 from operator import mul
 
-Rational = Fraction
-
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
 
 # CPython's default limit on int/str conversion; longer literals are refused

@@ -9,16 +9,23 @@ Four families are materialized, all with exact coefficients:
 * pi_n    = beta_n / (n+1), the monic normalization whose zeros are
   cot(k*pi/(n+1)).
 
-Every family can be built by several independent routes (three-term
-recurrence, explicit binomial sums, complex powers, Bernoulli-weighted monic
-recurrences, terminating hypergeometric sums, derivative recursions) and the
-routes are cross-checked coefficient by coefficient.  The explicit sums take
-each binomial directly from ``math.comb``; the hypergeometric sums step from
-term to term by the integer form of the 2F1 term ratio, so the two binomial
-routes share no arithmetic.  The generating functions are checked against
-members built by a route other than the one each restates: the rational OGF
-(whose denominator is the three-term recurrence) against the explicit sums,
-the EGF (a binomial convolution) against the recurrence.
+Each family is built by every route that computes something different, and
+the routes are cross-checked coefficient by coefficient: beta by the
+three-term recurrence, explicit binomial sums, complex powers and
+terminating hypergeometric sums; alpha by those four and the
+Bernoulli-weighted monic recurrence; P by n! times the signed beta row
+("explicit") and the paper's derivative recurrence
+P_{n+1} = (1+x^2) P_n' - 2(n+1) x P_n; pi by the three-term recurrence over
+n+1 and the monic Bernoulli recurrence.  Two constructions only rescale a
+route here and are left out: the P recurrence divided by (-1)^(n+1) (n+1)!
+is beta_{n+1} = 2x beta_n - (1+x^2) beta_n' / (n+1), and the complex power
+of P is (-1)^n n! times beta's.  For beta and alpha the explicit sums take
+each binomial from ``math.comb`` and the hypergeometric sums step by the
+integer form of the 2F1 term ratio, so the two binomial routes share no
+arithmetic.  The generating functions are checked against members built by
+a route other than the one each restates: the rational OGF (whose
+denominator is the three-term recurrence) against the explicit sums, the
+EGF (a binomial convolution) against the recurrence.
 """
 from __future__ import annotations
 
@@ -134,18 +141,9 @@ def _signed_row(n: int, top: int, m: int, scale: int = 1) -> list:
     return out
 
 
-def _p_factor(n: int) -> int:
-    # P_n = (-1)^n n! beta_n coefficientwise, i.e. n! beta_n(-x)
-    return (-1) ** n * factorial(n)
-
-
 def _p_explicit(n: int) -> list:
-    return _signed_row(n, n + 1, 1, _p_factor(n))
-
-
-def _p_from_beta(raw: list, n: int) -> list:
-    factor = _p_factor(n)
-    return [factor * c for c in raw]
+    # P_n = (-1)^n n! beta_n coefficientwise, i.e. n! beta_n(-x)
+    return _signed_row(n, n + 1, 1, (-1) ** n * factorial(n))
 
 
 def bracket(n: int, j: int) -> Fraction:
@@ -212,29 +210,15 @@ def _pi_quotient(raw: list, n: int) -> Polynomial:
     return _wrap([Fraction(c, n + 1) for c in raw])
 
 
-def _derivative(step: Callable[[list, int], list]):
-    """Members of a derivative recurrence from member 0 = 1;
-    ``step(cur, n)`` gives member n+1 from member n."""
+def _p_derivative():
+    """Members of the derivative recurrence P_{n+1} = (1+x^2) P_n' - 2(n+1) x P_n
+    from P_0 = 1."""
     cur = [1]
     for n in count():
         yield _wrap(cur)
-        cur = step(cur, n)
-
-
-def _p_derivative_step(cur: list, n: int) -> list:
-    # P_{n+1} = (1+x^2) P_n' - 2(n+1) x P_n
-    d = [i * cur[i] for i in range(1, len(cur))]
-    nxt = _radd_scaled(list(d), [0, 0] + d, 1)
-    return _radd_scaled(nxt, [0] + cur, -2 * (n + 1))
-
-
-def _beta_derivative_step(cur: list, n: int) -> list:
-    # beta_{n+1} = 2x beta_n - (1+x^2) beta_n' / (n+1)
-    d = [i * cur[i] for i in range(1, len(cur))]
-    nxt = [0] + [2 * c for c in cur]
-    inv = Fraction(1, n + 1)
-    nxt = _radd_scaled(nxt, d, -inv)
-    return _radd_scaled(nxt, [0, 0] + d, -inv)
+        d = [i * cur[i] for i in range(1, len(cur))]
+        nxt = _radd_scaled(list(d), [0, 0] + d, 1)
+        cur = _radd_scaled(nxt, [0] + cur, -2 * (n + 1))
 
 
 def _monic_bernoulli(coeff: Callable[[int, int], Fraction]):
@@ -272,13 +256,12 @@ def _monic_bernoulli(coeff: Callable[[int, int], Fraction]):
 
 
 # The stepped routes, each as (generator, *args) so that two routes compare
-# by value.  The complex powers yield raw lists (P takes the beta ones
-# through _p_from_beta) and keep no prefix: stepping to member n costs about
-# as much as the whole prefix, and verify reads each of them once.
+# by value.  The complex powers yield raw lists and keep no prefix: stepping
+# to member n costs about as much as the whole prefix, and verify reads each
+# of them once.
 _POWER_ROUTES: dict[tuple[SequenceKind, BuildMethod], tuple] = {
     (SequenceKind.BETA, BuildMethod.COMPLEX_POWER): (_complex_power, "im", 1),
     (SequenceKind.ALPHA, BuildMethod.COMPLEX_POWER): (_complex_power, "re", 0),
-    (SequenceKind.P, BuildMethod.COMPLEX_POWER): (_complex_power, "im", 1),
 }
 
 # These yield polynomials into the prefix cache.
@@ -288,8 +271,7 @@ _ROUTES: dict[tuple[SequenceKind, BuildMethod], tuple] = {
     (SequenceKind.MONIC_PI, BuildMethod.RECURRENCE): (_three_term, ([1], [0, 2]), _pi_quotient),
     (SequenceKind.MONIC_PI, BuildMethod.MONIC_BERNOULLI): (_monic_bernoulli, bracket),
     (SequenceKind.ALPHA, BuildMethod.MONIC_BERNOULLI): (_monic_bernoulli, _alpha_ze_coeff),
-    (SequenceKind.P, BuildMethod.DERIVATIVE_RECURRENCE): (_derivative, _p_derivative_step),
-    (SequenceKind.BETA, BuildMethod.DERIVATIVE_RECURRENCE): (_derivative, _beta_derivative_step),
+    (SequenceKind.P, BuildMethod.DERIVATIVE_RECURRENCE): (_p_derivative,),
 }
 
 
@@ -317,10 +299,7 @@ def _check_pair(kind: SequenceKind, method: BuildMethod) -> None:
 def _power_members(key: tuple[SequenceKind, BuildMethod], start: int, stop: int) -> Iterator:
     """Raw members start..stop-1 of a complex-power route."""
     generator, *args = _POWER_ROUTES[key]
-    raws = islice(generator(*args), start, stop)
-    if key[0] is SequenceKind.P:
-        return map(_p_from_beta, raws, count(start))
-    return raws
+    return islice(generator(*args), start, stop)
 
 
 def build_sequence(

@@ -27,6 +27,9 @@ from .highprec import atan_reference, to_mpf, workprec
 # Largest partial sum and longest pi run.  pi needs 2,133 beta terms at
 # the smallest positive float tolerance, 5e-324.
 MAX_TERMS = 5000
+# Bound on the bits of a table's last exact partial sum (see _check_size); it
+# admits MAX_TERMS terms at every x = p/q with |p|, q < 4.
+MAX_SUM_BITS = 200_000
 SLOW_CONVERGENCE_BOUND = Fraction(4)
 ERROR_TRACKING_BITS = 512
 
@@ -110,6 +113,27 @@ def _term_stream(kind: SeriesKind, x: Fraction):
             n += 1
 
 
+def _check_size(name: str, terms: int, x: Fraction) -> None:
+    """Refuse more than MAX_TERMS terms, or a last partial sum past MAX_SUM_BITS.
+
+    At x = p/q with b = max(bitlen p, bitlen q, 1), euler term n is
+    2^n n!/(2n+1)!! p^(2n+1) q/(p^2+q^2)^(n+1) and beta term n is
+    Im((p+iq)^(n+1)) p^(n+1)/((n+1) (p^2+q^2)^(n+1)).  The first N share the
+    denominator (2N-1)!! or N! (N factors below 2^(bitlen(N)+1)) times
+    (p^2+q^2)^N < 2^(N(2b+1)), so N(bitlen(N)+2b+2) bits bound it.  Each term
+    is below 1 in size (2^n n! = (2n)!! <= (2n+1)!!, |x|/(1+x^2) <= 1/2 and
+    |beta_n(x)| <= (1+x^2)^((n+1)/2)), so |numerator| < N * that denominator.
+    """
+    if terms > MAX_TERMS:
+        raise ValueError(f"{name} must be at most {MAX_TERMS}, got {terms}")
+    b = max(x.numerator.bit_length(), x.denominator.bit_length(), 1)
+    bits = 2 * terms * (terms.bit_length() + 2 * b + 2) + terms.bit_length()
+    if bits > MAX_SUM_BITS:
+        raise ValueError(
+            f"{terms} terms at this x may need {bits} bits, more than MAX_SUM_BITS = {MAX_SUM_BITS}"
+        )
+
+
 def _walk(kind: SeriesKind, x: Fraction, terms: int, target):
     """Yield (n, term, exact partial sum, |partial sum - target|) for n < terms.
 
@@ -127,13 +151,12 @@ def _walk(kind: SeriesKind, x: Fraction, terms: int, target):
 def partial_sum(kind: SeriesKind, x: Fraction, terms: int) -> SeriesReport:
     """Exact partial sums with a float error column against reference arctan.
 
-    ``terms`` runs from 1 to MAX_TERMS; outside that range raises ValueError.
+    ``terms`` runs from 1 to MAX_TERMS, within MAX_SUM_BITS; else ValueError.
     """
     if terms < 1:
         raise ValueError("terms must be positive")
-    if terms > MAX_TERMS:
-        raise ValueError(f"terms must be at most {MAX_TERMS}, got {terms}")
     x = Fraction(x)
+    _check_size("terms", terms, x)
     target = atan_reference(x, ERROR_TRACKING_BITS)
     walk = _walk(kind, x, terms, target)
     return SeriesReport(
@@ -200,12 +223,11 @@ def compare_series(x: Fraction, tolerance: float, max_terms: int = 2000) -> list
     """Terms needed by each series to push the measured error below tolerance.
 
     A tolerance that is not a finite positive number, or a ``max_terms``
-    past MAX_TERMS, raises ValueError.
+    past MAX_TERMS or MAX_SUM_BITS, raises ValueError.
     """
     _check_tolerance(tolerance)
-    if max_terms > MAX_TERMS:
-        raise ValueError(f"max_terms must be at most {MAX_TERMS}, got {max_terms}")
     x = Fraction(x)
+    _check_size("max_terms", max_terms, x)
     target = atan_reference(x, ERROR_TRACKING_BITS)
     out = []
     for kind in SeriesKind:

@@ -1,5 +1,6 @@
 """Derivative values, numeric cross-checks, root certificates, ODEs."""
 from fractions import Fraction
+from math import factorial
 
 import mpmath
 import pytest
@@ -73,7 +74,12 @@ def _p_route(p_member, n, x):
 )
 def test_arctan_derivative_matches_the_p_route(method):
     for n in range(1, 81):
-        p_member = build(SequenceKind.P, n - 1, method)
+        if method is BuildMethod.COMPLEX_POWER:
+            # P_m = (-1)^m m! beta_m, with beta_m = Im((x+i)^(m+1))
+            beta = build(SequenceKind.BETA, n - 1, method)
+            p_member = (-1) ** (n - 1) * factorial(n - 1) * beta
+        else:
+            p_member = build(SequenceKind.P, n - 1, method)
         for x in P_ORACLE_POINTS:
             got = arctan_nth_derivative(n, x)
             assert type(got) is Fraction

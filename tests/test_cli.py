@@ -67,6 +67,17 @@ def test_poly_removed_method_is_a_usage_error(capsys, method):
     assert "invalid choice" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "kind, method", [("beta", "derivative-recurrence"), ("p", "complex-power")]
+)
+def test_poly_rescaling_route_is_an_unsupported_pair(capsys, kind, method):
+    # each only rescaled another route of its family, so neither is built
+    code, out, err = run_cli(capsys, "poly", "--kind", kind, "--n", "3", "--method", method)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: no {method} construction for kind {kind}"]
+
+
 ONE_SHOT_ROUTE = {
     "beta": "hypergeometric",
     "alpha": "hypergeometric",
@@ -424,6 +435,18 @@ def test_series_refuses_terms_past_the_cap(capsys):
     ]
 
 
+def test_series_refuses_a_sum_past_the_size_cap(capsys):
+    # 1369 terms at this x is the last table under series.MAX_SUM_BITS; only
+    # the refused count just past it runs here
+    code, out, err = run_cli(
+        capsys, "series", "--kind", "euler", "--x", "1000000007/3", "--terms", "1370"
+    )
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "MAX_SUM_BITS" in lines[0]
+
+
 def test_pi_command(capsys):
     code, out, _ = run_cli(capsys, "pi", "--method", "euler", "--tol", "1e-10")
     assert code == 0
@@ -473,6 +496,24 @@ def test_connect_tan_rejects_a_method(capsys):
     assert out == ""
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "what, methods",
+    [
+        ("matching-path", "enumeration, closed-form, chebyshev-transform"),
+        ("matching-cycle", "enumeration, closed-form, chebyshev-transform"),
+        ("fibonacci", "recurrence, closed-form"),
+        ("lucas", "recurrence, closed-form"),
+    ],
+)
+def test_connect_bad_method_names_the_valid_ones(capsys, what, methods):
+    code, out, err = run_cli(capsys, "connect", "--what", what, "--n", "3", "--method", "bogus")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: --method for --what {what} must be one of {methods}, got 'bogus'"
+    ]
 
 
 def test_connect_fibonacci_with_argument(capsys):

@@ -55,16 +55,43 @@ def test_build_examples():
     assert build(SequenceKind.ALPHA, 2, BuildMethod.MONIC_BERNOULLI) == Polynomial((-1, 0, 1))
 
 
-@pytest.mark.parametrize("method", list(BuildMethod))
+@pytest.mark.parametrize(
+    "method", [m for m in BuildMethod if m in SUPPORTED_METHODS[SequenceKind.BETA]]
+)
 def test_beta_zero_is_one_for_every_supported_method(method):
-    if method is BuildMethod.MONIC_BERNOULLI:
-        pytest.skip("no Bernoulli-recurrence route for the beta family")
     assert build(SequenceKind.BETA, 0, method) == Polynomial.one()
+
+
+def test_supported_methods_are_the_routes_that_compute_something_different():
+    # beta by derivative recurrence is P's recurrence divided by
+    # (-1)^(n+1) (n+1)!, and P by complex power is beta's complex power times
+    # (-1)^n n!, so neither is a route of its own
+    assert SUPPORTED_METHODS == {
+        SequenceKind.BETA: {
+            BuildMethod.RECURRENCE,
+            BuildMethod.EXPLICIT,
+            BuildMethod.COMPLEX_POWER,
+            BuildMethod.HYPERGEOMETRIC,
+        },
+        SequenceKind.ALPHA: {
+            BuildMethod.RECURRENCE,
+            BuildMethod.EXPLICIT,
+            BuildMethod.COMPLEX_POWER,
+            BuildMethod.MONIC_BERNOULLI,
+            BuildMethod.HYPERGEOMETRIC,
+        },
+        SequenceKind.P: {BuildMethod.EXPLICIT, BuildMethod.DERIVATIVE_RECURRENCE},
+        SequenceKind.MONIC_PI: {BuildMethod.RECURRENCE, BuildMethod.MONIC_BERNOULLI},
+    }
 
 
 def test_unsupported_pairs_raise():
     with pytest.raises(UnsupportedPairError):
         build(SequenceKind.BETA, 3, BuildMethod.MONIC_BERNOULLI)
+    with pytest.raises(UnsupportedPairError):
+        build(SequenceKind.BETA, 3, BuildMethod.DERIVATIVE_RECURRENCE)
+    with pytest.raises(UnsupportedPairError):
+        build(SequenceKind.P, 3, BuildMethod.COMPLEX_POWER)
     with pytest.raises(UnsupportedPairError):
         build(SequenceKind.ALPHA, 3, BuildMethod.DERIVATIVE_RECURRENCE)
     with pytest.raises(UnsupportedPairError):
@@ -129,7 +156,6 @@ def test_each_supported_pair_is_in_exactly_one_table():
     [
         (SequenceKind.BETA, BuildMethod.HYPERGEOMETRIC),
         (SequenceKind.ALPHA, BuildMethod.HYPERGEOMETRIC),
-        (SequenceKind.P, BuildMethod.EXPLICIT),
     ],
 )
 def test_single_complex_power_matches_a_binomial_route_at_large_n(kind, method):
@@ -211,7 +237,8 @@ def test_p_is_factorial_times_reflected_beta():
     for n in range(30):
         beta = build(SequenceKind.BETA, n)
         reflected = Polynomial([(-1) ** k * c for k, c in enumerate(beta.coefficients)])
-        assert build(SequenceKind.P, n, BuildMethod.COMPLEX_POWER) == factorial(n) * reflected
+        p_n = build(SequenceKind.P, n, BuildMethod.DERIVATIVE_RECURRENCE)
+        assert p_n == factorial(n) * reflected
 
 
 def test_interchange_identities():

@@ -4,8 +4,10 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from arctanpoly import series
 from arctanpoly.highprec import to_mpf, workprec
 from arctanpoly.series import (
+    MAX_SUM_BITS,
     MAX_TERMS,
     SeriesKind,
     compare_series,
@@ -183,3 +185,49 @@ def test_input_validation():
 def test_compare_series_rejects_non_finite_or_non_positive_tolerance(tolerance):
     with pytest.raises(ValueError, match="finite positive"):
         compare_series(Fraction(1), tolerance, 300)
+
+
+def _sum_bound(terms, x):
+    b = max(x.numerator.bit_length(), x.denominator.bit_length(), 1)
+    return 2 * terms * (terms.bit_length() + 2 * b + 2) + terms.bit_length()
+
+
+def test_sum_bound_holds():
+    points = [Fraction(0), Fraction(1), Fraction(-2), Fraction(2, 5), Fraction(-7, 2),
+              Fraction(1000000007, 3), Fraction(-(2**40 - 1), 2**40 - 3)]
+    for x in points:
+        for kind in SeriesKind:
+            for row in partial_sum(kind, x, 120).rows:
+                total = row.partial_sum
+                bits = total.numerator.bit_length() + total.denominator.bit_length()
+                assert bits <= _sum_bound(row.n + 1, x), (kind, x, row.n)
+
+
+@pytest.mark.parametrize(
+    "terms, x",
+    [(MAX_TERMS, Fraction(p, q)) for p in range(-3, 4) for q in (1, 2, 3)]
+    + [(300, Fraction(-2, 1)), (300, Fraction(2, 1)), (80, Fraction(1, 5)),
+       (600, Fraction(3)), (600, Fraction(2, 5))],
+)
+def test_sum_size_cap_admits_every_table_in_use(terms, x):
+    # the CLI's worst case, the benchmark's series ops, the verify suite and
+    # the test points above; only the check runs
+    series._check_size("terms", terms, x)
+
+
+def test_sum_size_cap_boundary():
+    # 1000000007/3 has b = 30, so the bound is 2N (bitlen(N) + 62) + bitlen(N);
+    # 1369 terms is the last table under the cap.  Only the check runs at the
+    # boundary: the sums themselves are never computed there.
+    x = Fraction(1000000007, 3)
+    assert _sum_bound(1369, x) <= MAX_SUM_BITS < _sum_bound(1370, x)
+    series._check_size("terms", 1369, x)
+    with pytest.raises(ValueError, match="MAX_SUM_BITS"):
+        partial_sum(SeriesKind.EULER, x, 1370)
+    with pytest.raises(ValueError, match="MAX_SUM_BITS"):
+        compare_series(x, 1e-8, 1370)
+    # a long literal is refused at a few terms
+    wide = Fraction(10**1300 + 1, 3)
+    assert _sum_bound(31, wide) > MAX_SUM_BITS
+    with pytest.raises(ValueError, match="MAX_SUM_BITS"):
+        partial_sum(SeriesKind.BETA_EXPANSION, wide, 31)
