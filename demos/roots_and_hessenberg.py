@@ -49,8 +49,9 @@ matrix = build_H(n)
 print(f"\n  H_{n} (json): {matrix.json()}")
 cp = charpoly(matrix)
 print(f"  charpoly(H_{n}) = {cp.pretty()}")
-# pi_n from the three-term recurrence: charpoly expands along the same
-# brackets as the default Bernoulli route, so that would compare it with itself
+# pi_n from the three-term recurrence, which uses no matrix and no bracket;
+# charpoly (Berkowitz) does not read the matrix's shape, so it shares no
+# step with either pi route
 monic = build(SequenceKind.MONIC_PI, n, BuildMethod.RECURRENCE)
 print(f"  beta_{n}/6      = {monic.pretty()}")
 print(f"  equal: {cp == monic}")

@@ -15,7 +15,6 @@ from .calculus import (
     arctan_nth_derivative,
     artanh_nth_derivative,
     chebyshev_derivative_form,
-    derivative_identity_check,
     finite_difference_derivative,
     ode_residual,
     roots,
@@ -104,7 +103,6 @@ __all__ = [
     "chebyshev_derivative_form",
     "compare_series",
     "cross_validate",
-    "derivative_identity_check",
     "eigen_check",
     "fibonacci_poly",
     "finite_difference_derivative",

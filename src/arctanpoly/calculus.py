@@ -248,14 +248,3 @@ def ode_residual(kind: SequenceKind, n: int) -> Polynomial:
     if kind is SequenceKind.BETA:
         return one_plus_sq * ddp - (2 * n) * (x_poly * dp) + (n * (n + 1)) * p
     return one_plus_sq * ddp - (2 * (n - 1)) * (x_poly * dp) + (n * (n - 1)) * p
-
-
-def derivative_identity_check(kind: SequenceKind, n: int) -> bool:
-    """d/dx beta_n = (n+1) beta_{n-1};  d/dx alpha_n = n alpha_{n-1}."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if kind not in (SequenceKind.BETA, SequenceKind.ALPHA):
-        raise ValueError("defined for the beta and alpha families")
-    cur, prev = families.build_sequence(kind, n, BuildMethod.RECURRENCE)[-1:-3:-1]
-    factor = n + 1 if kind is SequenceKind.BETA else n
-    return cur.differentiate() == factor * prev

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import calculus, checks, connections, families, series
 from .exact import format_rational, parse_rational
-from .families import BuildMethod, SequenceKind, UnsupportedPairError
+from .families import BuildMethod, SequenceKind
 from .highprec import DEFAULT_PRECISION, MAX_PRECISION, nstr, workprec
 from .poly import Polynomial
 
@@ -347,12 +347,7 @@ def main(argv: list[str] | None = None) -> int:
         # final flush cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except (
-        UnsupportedPairError,
-        calculus.PoleError,
-        connections.SizeLimitError,
-        ValueError,
-    ) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     finally:

@@ -9,23 +9,25 @@ Four families are materialized, all with exact coefficients:
 * pi_n    = beta_n / (n+1), the monic normalization whose zeros are
   cot(k*pi/(n+1)).
 
-Each family is built by every route that computes something different, and
-the routes are cross-checked coefficient by coefficient: beta by the
-three-term recurrence, explicit binomial sums, complex powers and
+Each family is built by every route that computes something different: beta
+by the three-term recurrence, explicit binomial sums, complex powers and
 terminating hypergeometric sums; alpha by those four and the
 Bernoulli-weighted monic recurrence; P by n! times the signed beta row
 ("explicit") and the paper's derivative recurrence
 P_{n+1} = (1+x^2) P_n' - 2(n+1) x P_n; pi by the three-term recurrence over
-n+1 and the monic Bernoulli recurrence.  Two constructions only rescale a
-route here and are left out: the P recurrence divided by (-1)^(n+1) (n+1)!
-is beta_{n+1} = 2x beta_n - (1+x^2) beta_n' / (n+1), and the complex power
-of P is (-1)^n n! times beta's.  For beta and alpha the explicit sums take
-each binomial from ``math.comb`` and the hypergeometric sums step by the
-integer form of the 2F1 term ratio, so the two binomial routes share no
-arithmetic.  The generating functions are checked against members built by
-a route other than the one each restates: the rational OGF (whose
-denominator is the three-term recurrence) against the explicit sums, the
-EGF (a binomial convolution) against the recurrence.
+n+1 and the monic Bernoulli recurrence.  ``cross_validate`` compares each
+route, coefficient by coefficient, with the family's first route in
+``BuildMethod`` order (the recurrence, or for P the explicit row); equality
+is transitive, so this is the evidence of comparing every pair.  Two
+constructions only rescale a route here and are left out: the P recurrence
+divided by (-1)^(n+1) (n+1)! is beta_{n+1} = 2x beta_n - (1+x^2) beta_n' /
+(n+1), and the complex power of P is (-1)^n n! times beta's.  For beta and
+alpha the explicit sums take each binomial from ``math.comb`` and the
+hypergeometric sums step by the integer form of the 2F1 term ratio, so the
+two binomial routes share no arithmetic.  The generating functions are
+checked against members built by a route other than the one each restates:
+the rational OGF (whose denominator is the three-term recurrence) against
+the explicit sums, the EGF (a binomial convolution) against the recurrence.
 """
 from __future__ import annotations
 
@@ -360,7 +362,8 @@ def build(kind: SequenceKind, n: int, method: BuildMethod | None = None) -> Poly
 
 @dataclass
 class CrossValidationReport:
-    """Pairwise equality results of all supported methods for one family.
+    """Equality results of every supported method against the family's
+    first method, which serves as the reference route.
 
     ``detail`` names the first coefficient on which the failing pair
     differs, and is empty when every pair agrees.
@@ -385,7 +388,7 @@ class CrossValidationReport:
     def summary(self) -> str:
         if self.passed:
             return (
-                f"{self.kind.value}: {len(self.rows)} pairwise checks up to "
+                f"{self.kind.value}: {len(self.rows)} route checks up to "
                 f"n={self.n_max}, all equal"
             )
         n, ma, mb, _ = self.failure
@@ -406,24 +409,27 @@ def _first_difference(ma: BuildMethod, a: Polynomial, mb: BuildMethod, b: Polyno
 
 
 def cross_validate(kind: SequenceKind, n_max: int) -> CrossValidationReport:
-    """Compare every supported method pair for members 0..n_max.
+    """Compare every supported method with the first one, for members 0..n_max.
 
-    Stops at the first mismatch and reports it rather than raising.
+    Equality is transitive, so comparing each route with one reference
+    route is the same evidence as comparing every pair.  Stops at the first
+    mismatch and reports it rather than raising.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     methods = [m for m in BuildMethod if m in SUPPORTED_METHODS[kind]]
     sequences = {m: build_sequence(kind, n_max, m) for m in methods}
+    ma, *others = methods
     rows: list[tuple[int, BuildMethod, BuildMethod, bool]] = []
     for n in range(n_max + 1):
-        for i, ma in enumerate(methods):
-            for mb in methods[i + 1 :]:
-                a, b = sequences[ma][n], sequences[mb][n]
-                equal = a == b
-                rows.append((n, ma, mb, equal))
-                if not equal:
-                    detail = _first_difference(ma, a, mb, b)
-                    return CrossValidationReport(kind, n_max, rows, detail)
+        a = sequences[ma][n]
+        for mb in others:
+            b = sequences[mb][n]
+            equal = a == b
+            rows.append((n, ma, mb, equal))
+            if not equal:
+                detail = _first_difference(ma, a, mb, b)
+                return CrossValidationReport(kind, n_max, rows, detail)
     return CrossValidationReport(kind, n_max, rows)
 
 

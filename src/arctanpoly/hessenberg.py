@@ -12,12 +12,17 @@ For pi_n the brackets are Bernoulli-weighted:
 so every even offset j >= 2 vanishes along with the odd Bernoulli numbers,
 the trace is zero, and the eigenvalues are cot(k*pi/(n+1)).  ``bracket``
 is defined in ``families``, whose Bernoulli-weighted route steps with it.
+``charpoly`` is Berkowitz's algorithm on any square matrix: it does not use
+the Hessenberg shape, so it does not repeat that route's recurrence, and
+comparing it with pi_n checks the matrix as well as the brackets.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from . import calculus, families
 from .exact import format_rational
@@ -28,8 +33,7 @@ from .poly import Polynomial
 
 @dataclass(frozen=True)
 class RationalMatrix:
-    """Dense exact matrix, constrained to the shape charpoly exploits:
-    zero below the first subdiagonal and ones on it."""
+    """Dense exact square matrix of rationals."""
 
     entries: tuple[tuple, ...]
 
@@ -38,12 +42,6 @@ class RationalMatrix:
         for row in self.entries:
             if len(row) != n:
                 raise ValueError("matrix must be square")
-        for i in range(n):
-            for j in range(n):
-                if i == j + 1 and self.entries[i][j] != 1:
-                    raise ValueError("subdiagonal entries must be 1")
-                if i > j + 1 and self.entries[i][j] != 0:
-                    raise ValueError("entries below the subdiagonal must be 0")
 
     @property
     def n(self) -> int:
@@ -69,26 +67,30 @@ def build_H(n: int) -> RationalMatrix:
 
 
 def charpoly(matrix: RationalMatrix) -> Polynomial:
-    """Exact det(xI - M) through the leading-principal recurrence.
+    """Exact det(xI - M) by Berkowitz's division-free algorithm.
 
-    With a unit subdiagonal, the determinant of the k x k leading block of
-    xI - M expands along its last column into
-
-        p_k = (x - M[k-1][k-1]) p_{k-1} - sum_{i>=2} M[k-i][k-1] p_{k-i},
-
-    which is O(n^2) ring operations and never leaves exact arithmetic.
+    Berkowitz (Inf. Process. Lett. 18, 1984) reads nothing of the matrix's
+    shape.  The denominators are cleared once: with d the lcm of the entry
+    denominators, the algorithm runs on the integer matrix A = d M, and the
+    coefficient of x^k in det(xI - M) = d^-n det(d x I - A) is that of
+    det(yI - A) divided by d^(n-k).  Each leading block of A extends the
+    coefficient vector of the block before it by a lower-triangular Toeplitz
+    matrix whose first column is 1, -a, -r c, -r B c, ..., -r B^(k-1) c,
+    where B is the k x k block, c and r the new column and row above and
+    left of the new diagonal entry a.
     """
     n = matrix.n
-    ps = [Polynomial.one()]
-    x_poly = Polynomial.x()
-    for k in range(1, n + 1):
-        acc = (x_poly - matrix.entries[k - 1][k - 1]) * ps[k - 1]
-        for i in range(2, k + 1):
-            coeff = matrix.entries[k - i][k - 1]
-            if coeff:
-                acc = acc - coeff * ps[k - i]
-        ps.append(acc)
-    return ps[n]
+    d = lcm(*(Fraction(v).denominator for row in matrix.entries for v in row))
+    a = [[int(Fraction(v) * d) for v in row] for row in matrix.entries]
+    coeffs = [1]  # det(yI - A) of the leading k x k block, highest degree first
+    for k in range(n):
+        block, r, c = [row[:k] for row in a[:k]], a[k][:k], [row[k] for row in a[:k]]
+        col = [1, -a[k][k]]
+        for _ in range(k):
+            col.append(-sum(map(mul, r, c)))
+            c = [sum(map(mul, row, c)) for row in block]
+        coeffs = [sum(col[i - j] * coeffs[j] for j in range(min(i, k) + 1)) for i in range(k + 2)]
+    return Polynomial([Fraction(v, d**j) for j, v in enumerate(coeffs)][::-1])
 
 
 def eigen_check(

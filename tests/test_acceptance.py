@@ -34,7 +34,7 @@ def test_criterion_01_cross_method_equality():
         1,
         ok,
         f"all beta and alpha methods bit-identical up to n=200 in {elapsed:.2f}s "
-        f"({len(beta_report.rows) + len(alpha_report.rows)} pairwise checks)",
+        f"({len(beta_report.rows) + len(alpha_report.rows)} route checks)",
     )
 
 

@@ -14,7 +14,6 @@ from arctanpoly.calculus import (
     arctan_nth_derivative,
     artanh_nth_derivative,
     chebyshev_derivative_form,
-    derivative_identity_check,
     finite_difference_derivative,
     ode_residual,
     roots,
@@ -376,12 +375,12 @@ def test_ode_residuals_vanish():
 
 
 def test_derivative_identity_examples():
-    assert derivative_identity_check(SequenceKind.BETA, 4)
-    assert derivative_identity_check(SequenceKind.ALPHA, 3)
-    assert derivative_identity_check(SequenceKind.BETA, 1)
+    # d/dx beta_n = (n+1) beta_{n-1};  d/dx alpha_n = n alpha_{n-1}
+    betas = build_sequence(SequenceKind.BETA, 59, BuildMethod.RECURRENCE)
+    alphas = build_sequence(SequenceKind.ALPHA, 59, BuildMethod.RECURRENCE)
     for n in range(1, 60):
-        assert derivative_identity_check(SequenceKind.BETA, n)
-        assert derivative_identity_check(SequenceKind.ALPHA, n)
+        assert betas[n].differentiate() == (n + 1) * betas[n - 1]
+        assert alphas[n].differentiate() == n * alphas[n - 1]
 
 
 def test_order_validation():

@@ -363,7 +363,7 @@ def test_verify_csv_rows_parse_into_five_fields(capsys):
     assert all(len(row) == 5 for row in rows)
     assert ["hessenberg", "bracket(1,1)", "1", "pass", ""] in rows
     assert '"bracket(3,3)"' in out
-    assert "hessenberg,trace-zero,1,pass,\n" in out  # no comma, no quotes
+    assert "hessenberg,charpoly-is-monic-family,1,pass,\n" in out  # no comma, no quotes
 
 
 def test_verify_csv_failed_row_detail_parses_into_one_field(capsys, monkeypatch):
@@ -376,6 +376,12 @@ def test_verify_csv_failed_row_detail_parses_into_one_field(capsys, monkeypatch)
         ["suite", "check", "n", "passed", "detail"],
         ["cross", "beta[recurrence==explicit]", "3", "FAIL", detail],
     ]
+
+
+def test_verify_rows_are_one_per_fact():
+    # a (suite, check, n) key that repeats would be a row restating another
+    keys = [(row.suite, row.check, row.n) for row in checks.run_suite("all", 20)]
+    assert len(keys) == len(set(keys))
 
 
 def test_verify_is_deterministic(capsys):
@@ -539,10 +545,10 @@ def test_console_entry_point():
 
 
 def test_closed_output_pipe_exits_141_quietly():
-    # the output (about 200 kB) is larger than a pipe buffer, so the writer
+    # the output (about 110 kB) is larger than a pipe buffer, so the writer
     # is still printing when the reader closes its end
     proc = subprocess.Popen(
-        [sys.executable, "-m", "arctanpoly.cli", "verify", "--suite", "cross", "--max-n", "60",
+        [sys.executable, "-m", "arctanpoly.cli", "verify", "--suite", "cross", "--max-n", "120",
          "--format", "json"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,

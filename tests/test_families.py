@@ -111,6 +111,15 @@ def test_cross_validation_all_methods_agree():
         assert report.passed, report.summary()
 
 
+def test_cross_validation_compares_each_route_with_the_first():
+    for kind in SequenceKind:
+        first, *others = [m for m in BuildMethod if m in SUPPORTED_METHODS[kind]]
+        report = cross_validate(kind, 6)
+        for n in range(7):
+            pairs = [(ma, mb) for m, ma, mb, _ in report.rows if m == n]
+            assert pairs == [(first, mb) for mb in others]
+
+
 def test_cross_validation_trivial_size():
     report = cross_validate(SequenceKind.P, 0)
     assert report.passed
@@ -202,6 +211,22 @@ def test_cross_validation_names_the_first_differing_coefficient(monkeypatch):
     assert [(row.check, row.n, row.detail) for row in failed] == [
         ("beta[recurrence==explicit]", 3, expected)
     ]
+
+
+def test_cross_validation_names_a_wrong_route_that_is_not_first(monkeypatch):
+    def wrong_alpha(n):
+        raw = fam._signed_row(n, n, 0)
+        if n == 4:
+            raw[0] += 1  # alpha_4 = x^4 - 6x^2 + 1
+        return raw
+
+    key = (SequenceKind.ALPHA, BuildMethod.HYPERGEOMETRIC)
+    monkeypatch.setitem(fam._MEMBERS, key, wrong_alpha)
+    report = cross_validate(SequenceKind.ALPHA, 6)
+    assert report.failure == (4, BuildMethod.RECURRENCE, BuildMethod.HYPERGEOMETRIC, False)
+    expected = "first difference at x^0: recurrence gives 1, hypergeometric gives 2"
+    assert report.detail == expected
+    assert "between recurrence and hypergeometric" in report.summary()
 
 
 def test_values_match_gaussian_integer_powers():
