@@ -26,10 +26,10 @@ from .highprec import (
     DEFAULT_PRECISION,
     RootCheck,
     certify_simple_root,
-    check_precision,
     cot_node,
     mpf,
     mpf_to_fraction,
+    node_precision,
     prepare,
     to_mpf,
     workprec,
@@ -174,26 +174,20 @@ class RootSet:
         return all(r.certified for r in self.roots)
 
 
-def roots(
-    kind: SequenceKind,
-    n: int,
-    precision_bits: int = DEFAULT_PRECISION,
-    tolerance: float = 1e-9,
-) -> RootSet:
+def roots(kind: SequenceKind, n: int) -> RootSet:
     """All n real zeros in closed form, certified against the exact polynomial.
 
     beta_n vanishes at cot(k*pi/(n+1)) and alpha_n at cot((2k-1)*pi/(2n)),
-    k = 1..n; both lists are strictly decreasing in k.  A precision below
-    one bit raises ValueError.
+    k = 1..n; both lists are strictly decreasing in k.  The nodes and their
+    certificates are computed at ``node_precision(n)`` bits.
     """
-    check_precision(precision_bits)
     if n < 1:
         raise ValueError("n must be positive")
     if kind not in (SequenceKind.BETA, SequenceKind.ALPHA):
         raise ValueError("root sets are defined for the beta and alpha families")
     p = families.build(kind, n, BuildMethod.RECURRENCE)
     records = []
-    with workprec(precision_bits):
+    with workprec(node_precision(n)):
         p_mpf, dp_mpf = prepare(p), prepare(p.differentiate())
         for k in range(1, n + 1):
             if kind is SequenceKind.BETA:
@@ -202,21 +196,20 @@ def roots(
             else:
                 closed = f"cot({2 * k - 1}*pi/{2 * n})"
                 value = cot_node(2 * k - 1, 2 * n)
-            check = certify_simple_root(p_mpf, value, tolerance, derivative=dp_mpf)
+            check = certify_simple_root(p_mpf, value, dp_mpf)
             records.append(RootRecord(k, closed, value, check))
     return RootSet(kind, n, tuple(records))
 
 
-def sign_changes_between_roots(kind: SequenceKind, n: int, precision_bits: int = DEFAULT_PRECISION) -> bool:
+def sign_changes_between_roots(kind: SequenceKind, n: int) -> bool:
     """Exact-arithmetic bracketing of the closed-form zeros.
 
     Converts each numeric root to the exact rational it denotes at working
     precision, evaluates the polynomial exactly at midpoints between
     consecutive roots (and outside the extremes), and requires strictly
-    alternating signs, which pins one simple real root per interval.  A
-    precision below one bit raises ValueError, as in ``roots``.
+    alternating signs, which pins one simple real root per interval.
     """
-    rs = roots(kind, n, precision_bits)
+    rs = roots(kind, n)
     points = [mpf_to_fraction(r.value) for r in rs.roots]  # decreasing
     probes = [points[0] + 1]
     for a, b in zip(points, points[1:]):

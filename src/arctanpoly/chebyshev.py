@@ -16,7 +16,7 @@ from operator import add, sub
 
 from . import families
 from .families import BuildMethod, SequenceKind
-from .highprec import DEFAULT_PRECISION, check_precision, cot_node, eval_poly, workprec
+from .highprec import certifies, cot_node, eval_poly, node_precision, workprec
 from .poly import Polynomial, _canon, _radd_scaled, _trim
 
 
@@ -86,24 +86,17 @@ def tridiag_det(a, b, c, n: int):
     return d_cur
 
 
-def trig_spot_check(
-    n: int,
-    k: int,
-    precision_bits: int = DEFAULT_PRECISION,
-    tolerance: float = 1e-9,
-) -> bool:
+def trig_spot_check(n: int, k: int) -> bool:
     """Check that cot(k*pi/(n+1)) annihilates beta_n.
 
     The cot points are the exact zeros; since they are irrational the check
-    is numeric, with the residual scaled by the local slope |beta_n'|.
+    is numeric: the root test of ``highprec.certifies`` at
+    ``node_precision(n)`` bits, the residual scaled by the slope |beta_n'|.
     """
     if not 1 <= k <= n:
         raise ValueError("k must lie in 1..n")
-    check_precision(precision_bits)
     p = families.build(SequenceKind.BETA, n, BuildMethod.RECURRENCE)
     dp = p.differentiate()
-    with workprec(precision_bits):
+    with workprec(node_precision(n)):
         r = cot_node(k, n + 1)
-        residual = abs(eval_poly(p, r))
-        slope = abs(eval_poly(dp, r))
-        return residual <= tolerance * max(1, slope)
+        return certifies(abs(eval_poly(p, r)), abs(eval_poly(dp, r)))

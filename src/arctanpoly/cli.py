@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import calculus, checks, connections, families, series
 from .exact import format_rational, parse_rational
 from .families import BuildMethod, SequenceKind
-from .highprec import DEFAULT_PRECISION, MAX_PRECISION, nstr, workprec
+from .highprec import nstr
 from .poly import Polynomial
 
 EXIT_OK = 0
@@ -208,11 +208,10 @@ def _cmd_pi(args) -> int:
 
 def _cmd_roots(args) -> int:
     kind = SequenceKind(args.kind)
-    rs = calculus.roots(kind, args.n, args.precision)
-    with workprec(args.precision):
-        for record in rs.roots:
-            mark = "certified" if record.certified else "NOT CERTIFIED"
-            print(f"k={record.index}: {record.closed_form} = {nstr(record.value, 20)} [{mark}]")
+    rs = calculus.roots(kind, args.n)
+    for record in rs.roots:
+        mark = "certified" if record.certified else "NOT CERTIFIED"
+        print(f"k={record.index}: {record.closed_form} = {nstr(record.value, 20)} [{mark}]")
     return EXIT_OK if rs.all_certified else EXIT_VERIFY_FAILED
 
 
@@ -280,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="hessenberg_cap",
         type=int,
         default=checks.HESSENBERG_CAP,
-        help="exact charpoly verification cap (at least 1)",
+        help=f"exact charpoly verification cap, 1 to {checks.MAX_HESSENBERG_CAP}",
     )
     p_verify.add_argument("--format", default="text", choices=["text", "json", "csv"])
     p_verify.set_defaults(handler=_cmd_verify)
@@ -301,12 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_roots = sub.add_parser("roots", help="closed-form zeros with certificates")
     p_roots.add_argument("--kind", required=True, choices=["beta", "alpha"])
     p_roots.add_argument("--n", required=True, type=int)
-    p_roots.add_argument(
-        "--precision",
-        type=int,
-        default=DEFAULT_PRECISION,
-        help=f"working precision in bits, 1 to {MAX_PRECISION}",
-    )
     p_roots.set_defaults(handler=_cmd_roots)
 
     p_connect = sub.add_parser("connect", help="classical polynomial bridges")

@@ -27,7 +27,6 @@ from operator import mul
 from . import calculus, families
 from .exact import format_rational
 from .families import BuildMethod, SequenceKind, bracket
-from .highprec import DEFAULT_PRECISION, check_precision
 from .poly import Polynomial
 
 
@@ -93,18 +92,13 @@ def charpoly(matrix: RationalMatrix) -> Polynomial:
     return Polynomial([Fraction(v, d**j) for j, v in enumerate(coeffs)][::-1])
 
 
-def eigen_check(
-    n: int,
-    precision_bits: int = DEFAULT_PRECISION,
-    tolerance: float = 1e-9,
-) -> bool:
+def eigen_check(n: int) -> bool:
     """True iff charpoly(H_n) is exactly pi_n and every cot(k*pi/(n+1))
     certifies as a simple root of beta_n = (n+1) pi_n, i.e. as a simple
     eigenvalue of H_n."""
-    check_precision(precision_bits)
     if charpoly(build_H(n)) != monic_reference(n):
         return False
-    return calculus.roots(SequenceKind.BETA, n, precision_bits, tolerance).all_certified
+    return calculus.roots(SequenceKind.BETA, n).all_certified
 
 
 def monic_reference(n: int) -> Polynomial:

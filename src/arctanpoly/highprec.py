@@ -25,9 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 DEFAULT_PRECISION = 128  # bits
-# About 19,700 decimal digits.  Past it one cot node costs seconds: beta_3's
-# roots take about 2 s at 65536 bits and 10 s at 131072 on a 2-vCPU host.
-MAX_PRECISION = 65536  # bits
+# A root certifies when its residual is at most this multiple of max(1, slope).
+ROOT_TOLERANCE = 1e-9
 
 _mpmath = None  # the mpmath module, once a helper has needed it
 
@@ -45,12 +44,34 @@ def workprec(precision_bits: int):
     return (_mpmath or _load()).workprec(precision_bits)
 
 
-def check_precision(precision_bits: int) -> None:
-    """Reject a working precision outside 1..MAX_PRECISION bits; mpmath refuses neither end."""
-    if precision_bits < 1:
-        raise ValueError(f"precision must be at least 1 bit, got {precision_bits}")
-    if precision_bits > MAX_PRECISION:
-        raise ValueError(f"precision must be at most {MAX_PRECISION} bits, got {precision_bits}")
+def node_precision(n: int) -> int:
+    """Working precision, in bits, of the root test at the cot nodes of degree n.
+
+    Horner at t, with coefficients rounded once and u = 2^-p, errs by at most
+    gamma_(2n+1) S, where S = sum |c_k| |t|^k and gamma_m = m u / (1 - m u)
+    (Higham, Accuracy and Stability of Numerical Algorithms, 5.1).  At a node
+    t = cot(theta):
+
+    - beta_n = Im((x+i)^(n+1)) and alpha_n = Re((x+i)^n), so
+      S <= (1+|t|)^(n+1) <= (2(1+t^2))^((n+1)/2);
+    - beta_n(cot theta) = sin((n+1) theta) / sin(theta)^(n+1) and
+      alpha_n(cot theta) = cos(n theta) / sin(theta)^n, so the slope is
+      (n+1)(1+t^2)^((n-1)/2) for beta and n(1+t^2)^((n-1)/2) for alpha;
+    - cot(theta) < 1/theta on (0, pi/2), so |t| < 2n/pi.
+
+    So the error is below slope * gamma_(2n+1) 2^((n+1)/2) (1 + 4n^2/pi^2) / n.
+    At p >= (n+1)//2 + 2 bitlen(n) + 32, with n^2 < 2^(2 bitlen(n)), that is
+    below slope * 2^-32 sqrt(2) (1+2^-90) (2 + 1/n)(1/n^2 + 4/pi^2), which for
+    n >= 4 is below slope * 3.5e-10 < slope * ROOT_TOLERANCE/2; 128 bits lie
+    at least 90 bits above that p for n <= 3.  The derivative's error is of
+    the same order, so the computed slope is within a relative 1e-9 of the
+    true one, and the node, rounded by mpmath to a few units in its last
+    place, moves the residual by about slope * |t| 2^-p.  So at this
+    precision every node certifies, and a point whose true residual exceeds
+    twice ROOT_TOLERANCE times its slope does not.  The floor keeps every
+    n <= 160 at DEFAULT_PRECISION.
+    """
+    return max(DEFAULT_PRECISION, (n + 1) // 2 + 2 * n.bit_length() + 32)
 
 
 def to_mpf(value):
@@ -225,15 +246,22 @@ def atan_reference(x: Fraction, precision_bits: int = 256):
         return atan(to_mpf(x))
 
 
+def certifies(residual, slope) -> bool:
+    """The root test: residual <= ROOT_TOLERANCE * max(1, slope) and slope > ROOT_TOLERANCE.
+
+    Family coefficients grow fast with the degree, so the residual at a
+    finite-precision approximation of a true root scales with the local
+    slope, and only the slope-relative residual is meaningful.
+    """
+    return bool(residual <= ROOT_TOLERANCE * max(1, slope) and slope > ROOT_TOLERANCE)
+
+
 @dataclass(frozen=True)
 class RootCheck:
     """Simple-root certificate at a numeric point.
 
-    ``residual`` is |p(r)| and ``slope`` is |p'(r)|.  The point certifies
-    when residual <= tolerance * max(1, slope) and slope > tolerance: family
-    coefficients grow fast with the degree, so the raw residual at a
-    finite-precision approximation of a true root scales with the local
-    slope and only the slope-relative residual is meaningful.
+    ``residual`` is |p(r)|, ``slope`` is |p'(r)|, and ``certified`` is
+    ``certifies(residual, slope)``.
     """
 
     residual: float
@@ -241,22 +269,14 @@ class RootCheck:
     certified: bool
 
 
-def certify_simple_root(
-    poly,
-    value,
-    tolerance: float = 1e-9,
-    derivative=None,
-) -> RootCheck:
+def certify_simple_root(poly, value, derivative) -> RootCheck:
     """Certify ``value`` (an mpf under the current precision) as a simple root.
 
     ``poly`` and ``derivative`` may be exact polynomials or, when one
     polynomial is certified at many nodes, both ``PreparedPoly`` values made
     by ``prepare`` at the current precision; those skip the coefficient
-    conversion and give the same certificate.  A prepared ``poly`` needs its
-    prepared ``derivative``.
+    conversion and give the same certificate.
     """
-    dp = derivative if derivative is not None else poly.differentiate()
     residual = abs(eval_poly(poly, value))
-    slope = abs(eval_poly(dp, value))
-    ok = bool(residual <= tolerance * max(1, slope) and slope > tolerance)
-    return RootCheck(float(residual), float(slope), ok)
+    slope = abs(eval_poly(derivative, value))
+    return RootCheck(float(residual), float(slope), certifies(residual, slope))

@@ -14,7 +14,7 @@ import pytest
 import arctanpoly as ap
 from arctanpoly import cli
 from arctanpoly.families import BuildMethod, SequenceKind
-from arctanpoly.highprec import to_mpf, workprec
+from arctanpoly.highprec import ROOT_TOLERANCE, node_precision, to_mpf, workprec
 from arctanpoly.poly import Polynomial
 
 
@@ -152,11 +152,13 @@ def test_criterion_06_derivative_oracles():
 
 
 def test_criterion_07_root_certificates():
-    ok = True
+    # roots works out its precision from n; pin it, and the tolerance, here
+    ok = ROOT_TOLERANCE == 1e-9
     worst = 0.0
     for kind in (SequenceKind.BETA, SequenceKind.ALPHA):
         for n in range(1, 51):
-            rs = ap.roots(kind, n, precision_bits=128, tolerance=1e-9)
+            ok &= node_precision(n) == 128
+            rs = ap.roots(kind, n)
             ok &= rs.all_certified
             worst = max(
                 worst, max(r.check.residual / max(1.0, r.check.slope) for r in rs.roots)

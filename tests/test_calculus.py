@@ -22,8 +22,10 @@ from arctanpoly.calculus import (
 from arctanpoly.families import BuildMethod, SequenceKind, build, build_sequence
 from arctanpoly.highprec import (
     RootCheck,
+    certify_simple_root,
     cot_node,
     eval_poly,
+    node_precision,
     prepare,
     to_mpf,
     workprec,
@@ -228,6 +230,14 @@ def test_roots_certify_up_to_50(kind):
         assert roots(kind, n).all_certified
 
 
+@pytest.mark.parametrize("n", [215, 216, 219, 220, 230, 400])
+@pytest.mark.parametrize("kind", [SequenceKind.BETA, SequenceKind.ALPHA])
+def test_roots_certify_where_128_bits_fall_short(kind, n):
+    # at a fixed 128 bits Horner's rounding error outgrows the tolerance from n = 215
+    assert node_precision(n) > 128
+    assert roots(kind, n).all_certified
+
+
 def _reference_horner(poly, t):
     # every coefficient converted again at every point, with the mpf operators
     acc = mpmath.mpf(0)
@@ -246,15 +256,22 @@ def _reference_check(poly, t, tolerance=1e-9):
 @pytest.mark.parametrize("precision", [1, 53, 128])
 @pytest.mark.parametrize("kind", [SequenceKind.BETA, SequenceKind.ALPHA])
 def test_prepared_roots_match_per_call_conversion(kind, precision):
+    # prepared polynomials give the per-call certificate at every precision,
+    # and roots gives it at node_precision(n), which is 128 bits for every n here
     for n in list(range(1, 61)) + [120]:
-        rs = roots(kind, n, precision)
         p = build(kind, n, BuildMethod.RECURRENCE)
         with workprec(precision):
-            for record in rs.roots:
-                k = record.index
-                node = cot_node(k, n + 1) if kind is SequenceKind.BETA else cot_node(2 * k - 1, 2 * n)
-                assert record.value._mpf_ == node._mpf_
-                assert record.check == _reference_check(p, node), (n, k)
+            if kind is SequenceKind.BETA:
+                nodes = [cot_node(k, n + 1) for k in range(1, n + 1)]
+            else:
+                nodes = [cot_node(2 * k - 1, 2 * n) for k in range(1, n + 1)]
+            expected = [_reference_check(p, node) for node in nodes]
+            p_mpf, dp_mpf = prepare(p), prepare(p.differentiate())
+            assert [certify_simple_root(p_mpf, node, dp_mpf) for node in nodes] == expected, n
+        if precision == node_precision(n):
+            rs = roots(kind, n)
+            assert [r.value._mpf_ for r in rs.roots] == [node._mpf_ for node in nodes]
+            assert [r.check for r in rs.roots] == expected, n
 
 
 def test_eval_poly_prepared_and_exact_agree_bit_for_bit():
@@ -388,11 +405,3 @@ def test_order_validation():
         arctan_nth_derivative(0, Fraction(1))
     with pytest.raises(ValueError):
         roots(SequenceKind.BETA, 0)
-
-
-@pytest.mark.parametrize("precision", [0, -5])
-def test_precision_below_one_bit_rejected(precision):
-    with pytest.raises(ValueError, match="precision"):
-        roots(SequenceKind.BETA, 3, precision)
-    with pytest.raises(ValueError, match="precision"):
-        sign_changes_between_roots(SequenceKind.ALPHA, 3, precision)

@@ -174,9 +174,3 @@ def test_trig_spot_check_index_bounds():
         trig_spot_check(3, 0)
     with pytest.raises(ValueError):
         trig_spot_check(3, 4)
-
-
-@pytest.mark.parametrize("precision", [0, -5])
-def test_trig_spot_check_rejects_precision_below_one_bit(precision):
-    with pytest.raises(ValueError, match="precision"):
-        trig_spot_check(5, 2, precision)

@@ -13,7 +13,7 @@ from arctanpoly import checks, families, series
 from arctanpoly.cli import _decimal, main
 from arctanpoly.exact import format_rational
 from arctanpoly.families import BuildMethod, SequenceKind
-from arctanpoly.highprec import MAX_PRECISION, mpf_to_fraction, nstr, to_mpf, workprec
+from arctanpoly.highprec import mpf_to_fraction, nstr, to_mpf, workprec
 
 
 def run_cli(capsys, *argv):
@@ -327,6 +327,21 @@ def test_verify_rejects_hessenberg_cap_below_one(capsys, cap):
     assert len(lines) == 1 and lines[0].startswith("error:") and "hessenberg cap" in lines[0]
 
 
+@pytest.mark.parametrize("cap, code", [("40", 0), ("41", 2)])
+def test_verify_hessenberg_cap_bound(capsys, cap, code):
+    # --max-n 3 keeps every charpoly small whatever the cap
+    assert checks.MAX_HESSENBERG_CAP == 40
+    got, out, err = run_cli(
+        capsys, "verify", "--suite", "hessenberg", "--max-n", "3", "--hessenberg-cap", cap
+    )
+    assert got == code
+    if code:
+        assert out == ""
+        assert err.splitlines() == ["error: hessenberg cap must be at most 40, got 41"]
+    else:
+        assert out.endswith(" checks passed\n") and err == ""
+
+
 @pytest.mark.parametrize("suite, max_n", [("series", "-3"), ("cross", "-1")])
 def test_verify_rejects_negative_max_n(capsys, suite, max_n):
     code, out, err = run_cli(capsys, "verify", "--suite", suite, "--max-n", max_n)
@@ -567,27 +582,16 @@ def test_closed_output_pipe_exits_141_quietly():
     assert err == b""
 
 
-@pytest.mark.parametrize("precision", ["0", "-5"])
-def test_roots_rejects_precision_below_one_bit(capsys, precision):
-    code, out, err = run_cli(
-        capsys, "roots", "--kind", "beta", "--n", "3", "--precision", precision
-    )
-    assert code == 2
-    assert out == ""
-    lines = err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:")
-
-
-def test_roots_precision_cap_boundary(capsys):
-    top = str(MAX_PRECISION)
-    code, out, err = run_cli(capsys, "roots", "--kind", "alpha", "--n", "1", "--precision", top)
-    assert code == 0 and err == ""
-    assert out.startswith("k=1: cot(1*pi/2) = ") and out.endswith(" [certified]\n")
-    over = str(MAX_PRECISION + 1)
-    code, out, err = run_cli(capsys, "roots", "--kind", "beta", "--n", "3", "--precision", over)
-    assert code == 2
-    assert out == ""
-    assert err.splitlines() == [f"error: precision must be at most {top} bits, got {over}"]
+@pytest.mark.parametrize("precision", ["1", "0", "-5"])
+def test_roots_has_no_precision_option(capsys, precision):
+    # the working precision follows from n (highprec.node_precision)
+    with pytest.raises(SystemExit) as exc:
+        main(["roots", "--kind", "beta", "--n", "3", "--precision", precision])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: arctanpoly ")
+    assert f"error: unrecognized arguments: --precision {precision}" in captured.err
 
 
 @contextlib.contextmanager

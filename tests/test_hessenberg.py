@@ -14,6 +14,7 @@ from arctanpoly.highprec import (
     certify_simple_root,
     cot_node,
     eval_poly,
+    node_precision,
     prepare,
     to_mpf,
     workprec,
@@ -160,16 +161,11 @@ def test_prepared_charpoly_matches_per_call_conversion(precision):
                 ok = bool(residual <= 1e-9 * max(1, slope) and slope > 1e-9)
                 expected = RootCheck(float(residual), float(slope), ok)
                 assert certify_simple_root(p_mpf, node, derivative=dp_mpf) == expected
-        assert eigen_check(n, precision) == roots(SequenceKind.BETA, n, precision).all_certified
+        if precision == node_precision(n):
+            assert eigen_check(n) == roots(SequenceKind.BETA, n).all_certified
 
 
 def test_matrix_json_round_trip():
     h2 = build_H(2)
     payload = json.loads(h2.json())
     assert payload == {"n": 2, "entries": [["0", "1/3"], ["1", "0"]]}
-
-
-@pytest.mark.parametrize("precision", [0, -5])
-def test_eigen_check_rejects_precision_below_one_bit(precision):
-    with pytest.raises(ValueError, match="precision"):
-        eigen_check(4, precision)

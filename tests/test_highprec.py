@@ -16,8 +16,7 @@ from arctanpoly import highprec
 from arctanpoly.calculus import roots
 from arctanpoly.chebyshev import trig_spot_check
 from arctanpoly.families import SequenceKind, build
-from arctanpoly.hessenberg import eigen_check
-from arctanpoly.highprec import MAX_PRECISION, check_precision, eval_poly, workprec
+from arctanpoly.highprec import ROOT_TOLERANCE, eval_poly, node_precision, workprec
 from arctanpoly.poly import Polynomial
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "arctanpoly"
@@ -84,25 +83,29 @@ def test_only_highprec_imports_mpmath():
     assert offenders == []
 
 
-def test_precision_cap_boundary():
-    check_precision(1)
-    check_precision(MAX_PRECISION)
-    with pytest.raises(ValueError, match=f"at most {MAX_PRECISION} bits, got {MAX_PRECISION + 1}"):
-        check_precision(MAX_PRECISION + 1)
+def test_node_precision_is_the_default_up_to_160():
+    assert [node_precision(n) for n in range(1, 161)] == [128] * 160
+    assert node_precision(161) == 129
 
 
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda bits: roots(SequenceKind.ALPHA, 2, bits),
-        lambda bits: eigen_check(2, bits),
-        lambda bits: trig_spot_check(2, 1, bits),
-    ],
-    ids=["roots", "eigen_check", "trig_spot_check"],
-)
-def test_precision_above_the_cap_is_refused(call):
-    with pytest.raises(ValueError, match=f"at most {MAX_PRECISION} bits"):
-        call(MAX_PRECISION + 1)
+def test_node_precision_bounds_horner_error_below_half_the_tolerance():
+    # node_precision's docstring: gamma_(2n+1) 2^((n+1)/2) (1 + 4n^2/pi^2) / n
+    # <= ROOT_TOLERANCE / 2, squared to clear the root of 2 and checked in
+    # integers with pi^2 > 9.8696 and ROOT_TOLERANCE / 2 >= 1 / (2 * 10^9)
+    assert Fraction(ROOT_TOLERANCE) >= Fraction(1, 10**9)
+    for n in range(1, 2001):
+        m, scale = 2 * n + 1, 2**node_precision(n)
+        lhs = m * m * 2 ** (n + 1) * (98696 + 40000 * n * n) ** 2 * (2 * 10**9) ** 2
+        assert lhs <= (scale - m) ** 2 * (98696 * n) ** 2, n
+
+
+def test_roots_and_trig_spot_check_share_one_rule(monkeypatch):
+    # no slope at a node of beta_3 exceeds 10^6, so under that tolerance the
+    # slope clause fails every certificate, in both callers
+    assert roots(SequenceKind.BETA, 3).all_certified and trig_spot_check(3, 1)
+    monkeypatch.setattr(highprec, "ROOT_TOLERANCE", 1e6)
+    assert not any(r.certified for r in roots(SequenceKind.BETA, 3).roots)
+    assert not trig_spot_check(3, 1)
 
 
 @pytest.mark.parametrize("point, shown", [("inf", "+inf"), ("-inf", "-inf"), ("nan", "nan")])
