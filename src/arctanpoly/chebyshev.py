@@ -8,6 +8,10 @@ The bridges rest on the closed forms
 where the half-integer powers cancel exactly: U_n and T_n only carry
 monomials z^(n-2k), each of which picks up precisely the integer power
 (1+x^2)^k after clearing, so the expansion stays in the polynomial ring.
+
+T_n and U_n are stepped on their half forms, the lists of their x^(n-2k)
+coefficients, and the bridge expands a half form by Horner in s = 1+x^2:
+sum_k a_k x^(n-2k) s^k, from k = n//2 down to 0.
 """
 from __future__ import annotations
 
@@ -17,7 +21,7 @@ from operator import add, sub
 from . import families
 from .families import BuildMethod, SequenceKind
 from .highprec import certifies, cot_node, eval_poly, node_precision, workprec
-from .poly import Polynomial, _canon, _radd_scaled, _trim
+from .poly import Polynomial, _spread
 
 
 class ChebyshevKind(Enum):
@@ -34,27 +38,28 @@ def chebyshev(kind: ChebyshevKind, n: int) -> Polynomial:
     if n < 0:
         raise ValueError("n must be non-negative")
     prev = [1]
-    cur = [0, 1] if kind is ChebyshevKind.FIRST_KIND else [0, 2]
+    cur = [1] if kind is ChebyshevKind.FIRST_KIND else [2]
     if n == 0:
         return Polynomial._raw(prev)
     for _ in range(n - 1):
-        # len(prev) == len(cur) - 1, so both rows have len(cur) + 1 entries
-        prev, cur = cur, list(map(sub, [0, *map(add, cur, cur)], prev + [0, 0]))
-    return Polynomial._raw(cur)
+        # half forms: entry k of the next row is 2 cur[k] - prev[k-1];
+        # zero-padded, both rows have len(prev) + 1 entries
+        pad = [0] * (len(prev) + 1 - len(cur))
+        prev, cur = cur, list(map(sub, [*map(add, cur, cur), *pad], [0, *prev]))
+    return Polynomial._raw(_spread(cur, n))
 
 
 def _bridge_expansion(n: int, source: Polynomial) -> Polynomial:
-    # sum over monomials c * z^m of source: c * x^m * (1+x^2)^((n-m)/2)
-    powers = [[1]]  # (1+x^2)^j for j = 0..n//2
-    for _ in range(n // 2):
-        row = powers[-1]
-        powers.append(list(map(add, row + [0, 0], [0, 0] + row)))
+    # source has degree n and carries only z^(n-2k), with coefficient a_k;
+    # the sum is of a_k x^(n-2k) s^k with s = 1+x^2.  Horner in s on half
+    # forms: acc <- acc*s + a_k x^(n-2k) for k from n//2 down, where entry j
+    # of acc is its coefficient of x^(deg-2j).  Times s, entry j becomes
+    # acc[j] + acc[j-1], and a_k x^(n-2k), the new top, joins entry 0.  The
+    # x^n coefficient is source(1), n+1 for U_n and 1 for T_n: no trim.
     acc: list = []
-    for m in range(n + 1):
-        c = source.coefficient(m)
-        if c:
-            acc = _radd_scaled(acc, [0] * m + powers[(n - m) // 2], c)
-    return Polynomial._raw(_trim([_canon(c) for c in acc]))
+    for a in reversed(source.coefficients[n::-2]):
+        acc = list(map(add, [a, *acc], [*acc, 0]))
+    return Polynomial._raw(_spread(acc, n))
 
 
 def beta_from_chebyshev(n: int) -> Polynomial:

@@ -24,7 +24,11 @@ divided by (-1)^(n+1) (n+1)! is beta_{n+1} = 2x beta_n - (1+x^2) beta_n' /
 (n+1), and the complex power of P is (-1)^n n! times beta's.  For beta and
 alpha the explicit sums take each binomial from ``math.comb`` and the
 hypergeometric sums step by the integer form of the 2F1 term ratio, so the
-two binomial routes share no arithmetic.  The generating functions are
+two binomial routes share no arithmetic.  beta_n and alpha_n carry
+coefficients only on x^(n-2k), k = 0..n//2: the three-term recurrence steps
+on these half forms, the lists of the n//2 + 1 coefficients, and the
+recurrence and binomial routes lay each member out as its full coefficient
+list once, when it is built (``poly._spread``).  The generating functions are
 checked against members built by a route other than the one each restates:
 the rational OGF (whose denominator is the three-term recurrence) against
 the explicit sums, the EGF (a binomial convolution) against the recurrence.
@@ -41,7 +45,7 @@ from operator import add, neg, sub
 from typing import Callable, Iterator
 
 from .exact import bernoulli, format_rational
-from .poly import Polynomial, _canon, _radd_scaled, _row_product, _trim
+from .poly import Polynomial, _canon, _radd_scaled, _row_product, _spread, _trim
 
 
 class SequenceKind(Enum):
@@ -93,17 +97,21 @@ def _wrap(raw: list) -> Polynomial:
     return Polynomial._raw(_trim([_canon(c) for c in raw]))
 
 
-def _wrap_int(raw: list, n: int) -> Polynomial:
-    # all-int forms are canonical already; the leading coefficient of a
-    # three-term member is nonzero, so the trim never shortens the form
-    return Polynomial._raw(_trim(raw))
+def _wrap_int(half: list, n: int) -> Polynomial:
+    # all-int forms are canonical already, and the leading coefficient of a
+    # three-term member is nonzero, so the spread form needs no trim
+    return Polynomial._raw(_spread(half, n))
 
 
 def _three_term_step(cur: list, prev: list) -> list:
-    # next = 2x*cur - (1+x^2)*prev, for len(prev) == len(cur) - 1; the three
-    # shifted rows all have len(cur) + 1 entries, so the result keeps the
-    # invariant for the next step
-    return list(map(sub, map(sub, [0, *map(add, cur, cur)], prev + [0, 0]), [0, 0] + prev))
+    # next = 2x*cur - (1+x^2)*prev on the half forms of members n and n-1:
+    # entry k of next is 2 cur[k] - prev[k-1] - prev[k].  Zero-padded, the
+    # three rows all have len(prev) + 1 entries, the length of next's form.
+    # The order of the two subtractions is the full-list step's, so each
+    # coefficient gets the same int allocation (CPython sizes a difference
+    # by its larger operand) and the prefix cache stays as large as before.
+    pad = [0] * (len(prev) + 1 - len(cur))
+    return list(map(sub, map(sub, [*map(add, cur, cur), *pad], [0, *prev]), [*prev, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -115,9 +123,7 @@ def _three_term_step(cur: list, prev: list) -> list:
 # coefficient, the hypergeometric sum by its term ratio.
 
 def _binomial_row(n: int, top: int, m: int) -> list:
-    out = [0] * (n + 1)
-    out[n::-2] = [(-1) ** k * comb(top, m + 2 * k) for k in range(n // 2 + 1)]
-    return out
+    return _spread([(-1) ** k * comb(top, m + 2 * k) for k in range(n // 2 + 1)], n)
 
 
 def _signed_row(n: int, top: int, m: int, scale: int = 1) -> list:
@@ -130,7 +136,6 @@ def _signed_row(n: int, top: int, m: int, scale: int = 1) -> list:
     C(top, m+2) = C(top, m) (top-m)(top-m-1) / ((m+1)(m+2)), one multiply and
     one exact division by small ints.
     """
-    out = [0] * (n + 1)
     row = []
     b = scale * comb(top, m)
     for _ in range(n // 2):
@@ -139,8 +144,7 @@ def _signed_row(n: int, top: int, m: int, scale: int = 1) -> list:
         m += 2
     row.append(b)
     row[1::2] = map(neg, row[1::2])
-    out[n::-2] = row
-    return out
+    return _spread(row, n)
 
 
 def _p_explicit(n: int) -> list:
@@ -154,7 +158,9 @@ def bracket(n: int, j: int) -> Fraction:
         raise ValueError("need 0 <= j <= n")
     if j == 0:
         return Fraction(0)
-    return Fraction(2 ** (j + 1), j + 1) * comb(n, j) * abs(bernoulli(j + 1))
+    # 2^(j+1) C(n, j) |B_(j+1)| / (j+1), reduced once
+    b = bernoulli(j + 1)
+    return Fraction(2 ** (j + 1) * comb(n, j) * abs(b.numerator), (j + 1) * b.denominator)
 
 
 # The Bernoulli routes hold this bracket object (here as a default argument,
@@ -198,8 +204,9 @@ def _complex_power(part: str, shift: int):
 
 
 def _three_term(seed: tuple[list, list], wrap: Callable[[list, int], Polynomial]):
-    """Members of the three-term recurrence from the forms of members 0 and 1;
-    ``wrap(form, n)`` turns the form of member n into the polynomial."""
+    """Members of the three-term recurrence from the half forms of members 0
+    and 1; ``wrap(half, n)`` turns the half form of member n into the
+    polynomial."""
     prev, cur = seed
     yield wrap(prev, 0)
     for n in count(1):
@@ -207,9 +214,9 @@ def _three_term(seed: tuple[list, list], wrap: Callable[[list, int], Polynomial]
         prev, cur = cur, _three_term_step(cur, prev)
 
 
-def _pi_quotient(raw: list, n: int) -> Polynomial:
+def _pi_quotient(half: list, n: int) -> Polynomial:
     # pi_n as the quotient beta_n/(n+1) on top of the beta recurrence
-    return _wrap([Fraction(c, n + 1) for c in raw])
+    return _wrap(_spread([Fraction(c, n + 1) for c in half], n))
 
 
 def _p_derivative():
@@ -268,9 +275,9 @@ _POWER_ROUTES: dict[tuple[SequenceKind, BuildMethod], tuple] = {
 
 # These yield polynomials into the prefix cache.
 _ROUTES: dict[tuple[SequenceKind, BuildMethod], tuple] = {
-    (SequenceKind.BETA, BuildMethod.RECURRENCE): (_three_term, ([1], [0, 2]), _wrap_int),
-    (SequenceKind.ALPHA, BuildMethod.RECURRENCE): (_three_term, ([1], [0, 1]), _wrap_int),
-    (SequenceKind.MONIC_PI, BuildMethod.RECURRENCE): (_three_term, ([1], [0, 2]), _pi_quotient),
+    (SequenceKind.BETA, BuildMethod.RECURRENCE): (_three_term, ([1], [2]), _wrap_int),
+    (SequenceKind.ALPHA, BuildMethod.RECURRENCE): (_three_term, ([1], [1]), _wrap_int),
+    (SequenceKind.MONIC_PI, BuildMethod.RECURRENCE): (_three_term, ([1], [2]), _pi_quotient),
     (SequenceKind.MONIC_PI, BuildMethod.MONIC_BERNOULLI): (_monic_bernoulli, bracket),
     (SequenceKind.ALPHA, BuildMethod.MONIC_BERNOULLI): (_monic_bernoulli, _alpha_ze_coeff),
     (SequenceKind.P, BuildMethod.DERIVATIVE_RECURRENCE): (_p_derivative,),

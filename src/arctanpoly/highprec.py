@@ -235,8 +235,16 @@ def eval_poly(poly, t):
 
 
 def cot_node(k: int, m: int):
-    """cot(k*pi/m) under the current working precision."""
+    """cot(k*pi/m) under the current working precision.
+
+    At 2k == m the node is cot(pi/2) = 0, returned as an exact zero: mpmath's
+    cot of the rounded pi/2 would give that rounding error instead.  It is
+    the middle root of every odd-degree beta and alpha, which, being odd
+    polynomials, vanish at 0 exactly.
+    """
     mpmath = _mpmath or _load()
+    if 2 * k == m:
+        return mpmath.mpf(0)
     return mpmath.cot(mpmath.pi * k / m)
 
 

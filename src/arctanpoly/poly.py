@@ -4,6 +4,8 @@ Coefficients are stored ascending by degree with trailing zeros trimmed; the
 zero polynomial stores nothing.  Integral coefficients are kept as plain
 ints (a Fraction with denominator 1 is converted down), which keeps the
 representation canonical and makes the integer-coefficient families cheap.
+The parity families step on half forms, the lists of their x^(n-2k)
+coefficients, and ``_spread`` lays each member out as this list once.
 """
 from __future__ import annotations
 
@@ -28,6 +30,18 @@ def _trim(coeffs: list) -> list:
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
+
+
+def _spread(half: list, n: int) -> list:
+    """The ascending list of degree n whose x^(n-2k) coefficient is half[k].
+
+    ``half`` is the half form of a parity polynomial, the n//2 + 1
+    coefficients of x^n, x^(n-2), ..., which the parity families step on;
+    every other coefficient is zero.
+    """
+    out = [0] * (n + 1)
+    out[n::-2] = half
+    return out
 
 
 def _row_product(a, b) -> list:

@@ -238,6 +238,24 @@ def test_roots_certify_where_128_bits_fall_short(kind, n):
     assert roots(kind, n).all_certified
 
 
+@pytest.mark.parametrize("kind", [SequenceKind.BETA, SequenceKind.ALPHA])
+def test_odd_degree_middle_node_is_an_exact_certified_zero(kind):
+    # beta_n and alpha_n of odd n are odd polynomials, and their middle node
+    # cot(pi/2) is 0 exactly, not the rounding error of pi/2
+    for n in range(1, 302, 2):
+        p = build(kind, n, BuildMethod.RECURRENCE)
+        k, m = ((n + 1) // 2, n + 1) if kind is SequenceKind.BETA else (n, 2 * n)
+        with workprec(node_precision(n)):
+            node = cot_node(k, m)
+            check = certify_simple_root(prepare(p), node, prepare(p.differentiate()))
+        assert node._mpf_ == mpmath.libmp.fzero, n
+        assert check.certified and check.residual == 0, n
+    for n in (1, 3, 5, 161, 301):
+        middle = roots(kind, n).roots[(n - 1) // 2]
+        assert middle.value._mpf_ == mpmath.libmp.fzero, n
+        assert middle.certified, n
+
+
 def _reference_horner(poly, t):
     # every coefficient converted again at every point, with the mpf operators
     acc = mpmath.mpf(0)

@@ -499,6 +499,19 @@ def test_roots_command(capsys):
     assert "certified" in out
 
 
+@pytest.mark.parametrize(
+    "kind, line",
+    [
+        ("beta", "k=2: cot(2*pi/4) = 0.0 [certified]"),
+        ("alpha", "k=2: cot(3*pi/6) = 0.0 [certified]"),
+    ],
+)
+def test_roots_prints_the_odd_middle_node_as_exact_zero(capsys, kind, line):
+    code, out, _ = run_cli(capsys, "roots", "--kind", kind, "--n", "3")
+    assert code == 0
+    assert out.splitlines()[1] == line
+
+
 def test_connect_matching(capsys):
     code, out, _ = run_cli(capsys, "connect", "--what", "matching-path", "--n", "3")
     assert code == 0

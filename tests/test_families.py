@@ -17,7 +17,7 @@ from arctanpoly.families import (
     verify_egf,
     verify_ogf,
 )
-from arctanpoly.poly import Polynomial
+from arctanpoly.poly import Polynomial, _spread
 
 BETA_TABLE = [
     Polynomial((1,)),
@@ -549,14 +549,44 @@ def _loop_three_term_step(cur, prev):
     "kind, seed", [(SequenceKind.BETA, ([1], [0, 2])), (SequenceKind.ALPHA, ([1], [0, 1]))]
 )
 def test_three_term_step_matches_loop(kind, seed):
+    # the step runs on half forms; spread out, each member equals the full
+    # list the index loop gives
     prev, cur = seed
+    half_prev, half_cur = prev[::-2], cur[::-2]
     for n in range(2, 301):
-        got = fam._three_term_step(cur, prev)
-        assert got == _loop_three_term_step(cur, prev)
-        assert len(got) == n + 1
-        assert all(type(c) is int for c in got)
-        prev, cur = cur, got
-    assert Polynomial(cur) == build(kind, 300)
+        half = fam._three_term_step(half_cur, half_prev)
+        full = _loop_three_term_step(cur, prev)
+        assert len(half) == n // 2 + 1
+        assert all(type(c) is int for c in half)
+        assert _spread(half, n) == full, n
+        prev, cur = cur, full
+        half_prev, half_cur = half_cur, half
+    assert Polynomial(_spread(half_cur, 300)) == build(kind, 300)
+
+
+def test_pi_recurrence_is_beta_over_n_plus_one():
+    pis = build_sequence(SequenceKind.MONIC_PI, 300, BuildMethod.RECURRENCE)
+    betas = build_sequence(SequenceKind.BETA, 300, BuildMethod.RECURRENCE)
+    for n, (p, b) in enumerate(zip(pis, betas)):
+        assert p == Polynomial([Fraction(c, n + 1) for c in b.coefficients]), n
+
+
+def test_spread_round_trips():
+    for n in range(40):
+        half = list(range(1, n // 2 + 2))
+        full = _spread(half, n)
+        assert len(full) == n + 1
+        assert full[n::-2] == half
+        assert not any(full[i] for i in range(n + 1) if (n - i) % 2)
+
+
+def test_bracket_matches_the_three_factor_product():
+    for n in range(201):
+        assert fam.bracket(n, 0) == 0
+        for j in range(1, n + 1):
+            expected = Fraction(2 ** (j + 1), j + 1) * comb(n, j) * abs(bernoulli(j + 1))
+            got = fam.bracket(n, j)
+            assert got == expected and type(got) is Fraction, (n, j)
 
 
 @pytest.mark.parametrize(
