@@ -47,6 +47,12 @@ class PoleError(ValueError):
 # through ``arctanpoly deriv`` on a 2-vCPU host, interpreter start included.
 MAX_RESULT_BITS = 2**19
 
+# Largest degree whose root set ``roots`` computes.  It builds the recurrence
+# prefix up to n and certifies about n/2 nodes of degree n at
+# node_precision(n) bits, so its time grows faster than n^2;
+# ``arctanpoly roots --kind alpha --n 1000`` takes about 2 s on a 2-vCPU host.
+MAX_ROOT_DEGREE = 1000
+
 
 def _check_result_size(n: int, x: Fraction) -> None:
     """Refuse an order and point whose exact value could exceed MAX_RESULT_BITS.
@@ -179,10 +185,31 @@ def roots(kind: SequenceKind, n: int) -> RootSet:
 
     beta_n vanishes at cot(k*pi/(n+1)) and alpha_n at cot((2k-1)*pi/(2n)),
     k = 1..n; both lists are strictly decreasing in k.  The nodes and their
-    certificates are computed at ``node_precision(n)`` bits.
+    certificates are computed at ``node_precision(n)`` bits.  Raises
+    ValueError for n < 1 and n > MAX_ROOT_DEGREE.
+
+    Only the records with 2k <= n+1 are certified; record k with 2k > n+1
+    takes the certificate of its mirror n+1-k.  That is the certificate it
+    would get itself.  In both kinds the mirror's node is exactly the
+    negation of record k's (``cot_node`` returns it so; for alpha the
+    numerator 2k-1 mirrors to 2n-(2k-1) = 2(n+1-k)-1), and the certificate
+    reads only |p(t)| and |p'(t)| from ``eval_poly``, which give the same bits
+    at -t as at t:
+
+    - p has the parity of n and p' that of n-1, so a polynomial of degree d
+      here has c_k = 0 unless d-k is even;
+    - by induction from c_d, Horner's accumulator after c_k at -t is
+      (-1)^(d-k) times the one at t: the product with -t flips the sign,
+      rounding a signed mantissa to nearest, ties to even, is odd, and the
+      skip of a negligible addend reads only exponents and whether the
+      accumulator is zero; a nonzero c_k has d-k even, so it is added to
+      equal accumulators, and a zero c_k is skipped;
+    - so p(-t) = (-1)^d p(t) bit for bit, and the absolute values agree.
     """
     if n < 1:
         raise ValueError("n must be positive")
+    if n > MAX_ROOT_DEGREE:
+        raise ValueError(f"n = {n} exceeds MAX_ROOT_DEGREE = {MAX_ROOT_DEGREE}")
     if kind not in (SequenceKind.BETA, SequenceKind.ALPHA):
         raise ValueError("root sets are defined for the beta and alpha families")
     p = families.build(kind, n, BuildMethod.RECURRENCE)
@@ -196,7 +223,10 @@ def roots(kind: SequenceKind, n: int) -> RootSet:
             else:
                 closed = f"cot({2 * k - 1}*pi/{2 * n})"
                 value = cot_node(2 * k - 1, 2 * n)
-            check = certify_simple_root(p_mpf, value, dp_mpf)
+            if 2 * k > n + 1:
+                check = records[n - k].check
+            else:
+                check = certify_simple_root(p_mpf, value, dp_mpf)
             records.append(RootRecord(k, closed, value, check))
     return RootSet(kind, n, tuple(records))
 

@@ -241,10 +241,17 @@ def cot_node(k: int, m: int):
     cot of the rounded pi/2 would give that rounding error instead.  It is
     the middle root of every odd-degree beta and alpha, which, being odd
     polynomials, vanish at 0 exactly.
+
+    At 2k > m the node is the mirror -cot((m-k)*pi/m), returned as the exact
+    negation of that node, so the nodes of a root set come in exact pairs
+    +-t.  It is also the more accurate value: the argument (m-k)*pi/m is
+    rounded away from pi, where cot has its pole.
     """
     mpmath = _mpmath or _load()
     if 2 * k == m:
         return mpmath.mpf(0)
+    if 2 * k > m:
+        return -cot_node(m - k, m)
     return mpmath.cot(mpmath.pi * k / m)
 
 

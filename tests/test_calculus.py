@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from arctanpoly import calculus
+from arctanpoly import calculus, families
 from arctanpoly.calculus import (
     MAX_RESULT_BITS,
     PoleError,
@@ -254,6 +254,30 @@ def test_odd_degree_middle_node_is_an_exact_certified_zero(kind):
         middle = roots(kind, n).roots[(n - 1) // 2]
         assert middle.value._mpf_ == mpmath.libmp.fzero, n
         assert middle.certified, n
+
+
+@pytest.mark.parametrize("kind", [SequenceKind.BETA, SequenceKind.ALPHA])
+def test_mirrored_root_checks_equal_the_direct_certificate(kind):
+    # roots certifies the records with 2k <= n+1 and gives record k > (n+1)/2
+    # the check of its mirror n+1-k; each must be the check of its own value
+    for n in list(range(1, 61)) + [215, 216, 400]:
+        rs = roots(kind, n)
+        p = build(kind, n, BuildMethod.RECURRENCE)
+        with workprec(node_precision(n)):
+            p_mpf, dp_mpf = prepare(p), prepare(p.differentiate())
+            direct = [certify_simple_root(p_mpf, r.value, dp_mpf) for r in rs.roots]
+        assert [r.check for r in rs.roots] == direct, n
+
+
+def test_roots_degree_cap_refuses_before_building(monkeypatch):
+    # MAX_ROOT_DEGREE itself runs in the README example; only the refused
+    # degree just past it is asked for here
+    assert calculus.MAX_ROOT_DEGREE == 1000
+    monkeypatch.setattr(families, "_prefix_cache", {})
+    for kind in (SequenceKind.BETA, SequenceKind.ALPHA):
+        with pytest.raises(ValueError, match="MAX_ROOT_DEGREE"):
+            roots(kind, 1001)
+    assert families._prefix_cache == {}
 
 
 def _reference_horner(poly, t):

@@ -499,6 +499,18 @@ def test_roots_command(capsys):
     assert "certified" in out
 
 
+@pytest.mark.parametrize("kind", ["beta", "alpha"])
+def test_roots_above_the_degree_cap_exits_2(capsys, monkeypatch, kind):
+    # 1000 is calculus.MAX_ROOT_DEGREE; the refusal comes before any member is built
+    monkeypatch.setattr(families, "_prefix_cache", {})
+    code, out, err = run_cli(capsys, "roots", "--kind", kind, "--n", "1001")
+    assert code == 2
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "MAX_ROOT_DEGREE" in lines[0]
+    assert families._prefix_cache == {}
+
+
 @pytest.mark.parametrize(
     "kind, line",
     [

@@ -4,6 +4,7 @@ import ast
 import json
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -141,5 +142,43 @@ def test_roots_make_no_mpf_mul_call_inside_eval_poly(monkeypatch):
             return real_eval_poly(poly, t)
 
     monkeypatch.setattr(highprec, "eval_poly", guarded)
-    assert roots(SequenceKind.BETA, 12).all_certified
-    assert len(calls) == 24
+    rs = roots(SequenceKind.BETA, 12)
+    assert rs.all_certified
+    # only the six nonnegative nodes are certified, each on p and then p'
+    assert len(calls) == 12
+    lower = [r.value._mpf_ for r in rs.roots[:6]]
+    assert [t._mpf_ for t in calls[::2]] == [t._mpf_ for t in calls[1::2]] == lower
+    assert all(t >= 0 for t in calls)
+
+
+@pytest.mark.parametrize("precision", [128, "node"])
+def test_upper_cot_nodes_are_exact_negations_of_their_mirrors(precision):
+    for m in range(2, 402):
+        with workprec(node_precision(m - 1) if precision == "node" else precision):
+            nodes = [highprec.cot_node(k, m) for k in range(1, m)]
+            assert [node._mpf_ for node in reversed(nodes)] == [(-node)._mpf_ for node in nodes], m
+
+
+def _parity_polynomial(rng, degree):
+    # integer coefficients on x^(degree-2k) only, as beta_n, alpha_n and their derivatives
+    coeffs = [0] * (degree + 1)
+    for k in range(degree, -1, -2):
+        coeffs[k] = rng.choice([0, rng.randint(-9, 9), rng.randint(-(10**40), 10**40)])
+    coeffs[degree] = coeffs[degree] or 1
+    return Polynomial(coeffs)
+
+
+def test_eval_poly_is_odd_or_even_with_its_parity_polynomial():
+    # the lemma behind the mirrored root certificates: Horner with rounding
+    # to nearest, ties to even, keeps p(-t) = (-1)^deg p(t) bit for bit;
+    # the low precisions round on exact ties often
+    rng = random.Random(19)
+    polys = [_parity_polynomial(rng, rng.randint(0, 40)) for _ in range(12)]
+    for precision in range(1, 129):
+        with workprec(precision):
+            points = [mpmath.mpf((rng.randint(1, 2**12), rng.randint(-12, 4))) for _ in range(4)]
+            points += [mpmath.mpf(rng.randint(1, 9)), highprec.cot_node(rng.randint(1, 20), 41)]
+            for p in polys:
+                sign = -1 if p.degree % 2 else 1
+                for t in points:
+                    assert eval_poly(p, -t)._mpf_ == (sign * eval_poly(p, t))._mpf_, (precision, t)
