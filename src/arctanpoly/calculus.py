@@ -188,13 +188,14 @@ def roots(kind: SequenceKind, n: int) -> RootSet:
     certificates are computed at ``node_precision(n)`` bits.  Raises
     ValueError for n < 1 and n > MAX_ROOT_DEGREE.
 
-    Only the records with 2k <= n+1 are certified; record k with 2k > n+1
-    takes the certificate of its mirror n+1-k.  That is the certificate it
-    would get itself.  In both kinds the mirror's node is exactly the
-    negation of record k's (``cot_node`` returns it so; for alpha the
-    numerator 2k-1 mirrors to 2n-(2k-1) = 2(n+1-k)-1), and the certificate
-    reads only |p(t)| and |p'(t)| from ``eval_poly``, which give the same bits
-    at -t as at t:
+    Only the records with 2k <= n+1 call ``cot_node`` and are certified;
+    record k with 2k > n+1 takes the negated value and the certificate of
+    its mirror n+1-k.  Both are what it would get itself.  In both kinds the
+    node of record k is exactly the negation of its mirror's: ``cot_node``
+    returns it so (for alpha the numerator 2k-1 mirrors to 2n-(2k-1) =
+    2(n+1-k)-1), and negating an mpf at the precision it was rounded to is
+    exact.  The certificate reads only |p(t)| and |p'(t)| from
+    ``eval_poly``, which give the same bits at -t as at t:
 
     - p has the parity of n and p' that of n-1, so a polynomial of degree d
       here has c_k = 0 unless d-k is even;
@@ -218,14 +219,14 @@ def roots(kind: SequenceKind, n: int) -> RootSet:
         p_mpf, dp_mpf = prepare(p), prepare(p.differentiate())
         for k in range(1, n + 1):
             if kind is SequenceKind.BETA:
-                closed = f"cot({k}*pi/{n + 1})"
-                value = cot_node(k, n + 1)
+                closed, num, den = f"cot({k}*pi/{n + 1})", k, n + 1
             else:
-                closed = f"cot({2 * k - 1}*pi/{2 * n})"
-                value = cot_node(2 * k - 1, 2 * n)
+                closed, num, den = f"cot({2 * k - 1}*pi/{2 * n})", 2 * k - 1, 2 * n
             if 2 * k > n + 1:
-                check = records[n - k].check
+                mirror = records[n - k]
+                value, check = -mirror.value, mirror.check
             else:
+                value = cot_node(num, den)
                 check = certify_simple_root(p_mpf, value, dp_mpf)
             records.append(RootRecord(k, closed, value, check))
     return RootSet(kind, n, tuple(records))

@@ -9,14 +9,24 @@ where the half-integer powers cancel exactly: U_n and T_n only carry
 monomials z^(n-2k), each of which picks up precisely the integer power
 (1+x^2)^k after clearing, so the expansion stays in the polynomial ring.
 
-T_n and U_n are stepped on their half forms, the lists of their x^(n-2k)
-coefficients, and the bridge expands a half form by Horner in s = 1+x^2:
-sum_k a_k x^(n-2k) s^k, from k = n//2 down to 0.
+T_n and U_n are built on their half forms, the lists of their x^(n-2k)
+coefficients, from the explicit coefficients
+
+    U_n:             (-1)^k C(n-k, k) 2^(n-2k),
+    T_n, n >= 1:     (-1)^k n/(n-k) C(n-k, k) 2^(n-2k-1),
+
+which are the matching numbers of the path and the cycle on n vertices
+scaled by 2^(n-2k): U_n(x/2) and 2 T_n(x/2) are their matching polynomials
+(C. D. Godsil, Algebraic Combinatorics, 1993, ch. 1).  The bridge expands
+a half form by Horner in s = 1+x^2: sum_k a_k x^(n-2k) s^k, from k = n//2
+down to 0.  Under z = x/sqrt(1+x^2) the Chebyshev recurrence is the
+three-term recurrence of beta and alpha, so the bridges sum the matching
+numbers and do not restate that recurrence.
 """
 from __future__ import annotations
 
 from enum import Enum
-from operator import add, sub
+from operator import add
 
 from . import families
 from .families import BuildMethod, SequenceKind
@@ -34,19 +44,24 @@ class ZeroParameterError(ValueError):
 
 
 def chebyshev(kind: ChebyshevKind, n: int) -> Polynomial:
-    """Exact T_n or U_n via p_{k+1} = 2x p_k - p_{k-1}."""
+    """Exact T_n or U_n from its explicit coefficients, in O(n) steps.
+
+    Entry k of the half form is (-1)^k C(n-k, k) 2^(n-2k) for U_n and
+    (-1)^k n/(n-k) C(n-k, k) 2^(n-2k-1) for T_n, n >= 1, the signed matching
+    numbers of the path and the cycle on n vertices; every entry is an
+    integer.  Each entry comes from the one before it by the term ratio
+    -(n-2k)(n-2k-1) / (4 (k+1) (n-k-j)), with j = 0 for U_n and j = 1 for
+    T_n, one multiply and one exact division by small ints.
+    """
     if n < 0:
         raise ValueError("n must be non-negative")
-    prev = [1]
-    cur = [1] if kind is ChebyshevKind.FIRST_KIND else [2]
-    if n == 0:
-        return Polynomial._raw(prev)
-    for _ in range(n - 1):
-        # half forms: entry k of the next row is 2 cur[k] - prev[k-1];
-        # zero-padded, both rows have len(prev) + 1 entries
-        pad = [0] * (len(prev) + 1 - len(cur))
-        prev, cur = cur, list(map(sub, [*map(add, cur, cur), *pad], [0, *prev]))
-    return Polynomial._raw(_spread(cur, n))
+    j = 1 if kind is ChebyshevKind.FIRST_KIND and n else 0
+    c = 1 << (n - j)
+    half = [c]
+    for k in range(n // 2):
+        c = -c * (n - 2 * k) * (n - 2 * k - 1) // (4 * (k + 1) * (n - k - j))
+        half.append(c)
+    return Polynomial._raw(_spread(half, n))
 
 
 def _bridge_expansion(n: int, source: Polynomial) -> Polynomial:

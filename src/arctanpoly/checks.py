@@ -15,6 +15,7 @@ from . import calculus, connections, hessenberg, series
 from .chebyshev import alpha_from_chebyshev, beta_from_chebyshev
 from .exact import GaussianInt, gaussian_pow
 from .families import (
+    MAX_MONIC_BERNOULLI_DEGREE,
     BuildMethod,
     SequenceKind,
     build_sequence,
@@ -309,6 +310,13 @@ def run_suite(name: str, max_n: int, hessenberg_cap: int = HESSENBERG_CAP) -> li
     if max_n < 0:
         raise ValueError(f"max-n must be non-negative, got {max_n}")
     _check_hessenberg_cap(hessenberg_cap)  # both before any suite runs
+    if name in ("cross", "all") and max_n > MAX_MONIC_BERNOULLI_DEGREE:
+        # cross builds the monic-bernoulli members up to max-n, and in "all"
+        # it runs after identities: refuse before either
+        raise ValueError(
+            f"max-n must be at most MAX_MONIC_BERNOULLI_DEGREE = "
+            f"{MAX_MONIC_BERNOULLI_DEGREE} for suite {name}, got {max_n}"
+        )
     if name == "all":
         rows = []
         for suite in SUITE_NAMES:

@@ -11,7 +11,7 @@ import re
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from itertools import accumulate
 from operator import mul
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
@@ -87,29 +87,53 @@ def gaussian_pow(base: GaussianInt, n: int) -> GaussianInt:
 # Bernoulli numbers, defined by the recurrence sum_{k=0}^{n} C(n+1, k) B_k = 0
 # for n >= 1 with B_0 = 1.  This fixes B_1 = -1/2; downstream formulas only
 # ever consume |B_m| for even m (odd ones beyond B_1 vanish), so the sign
-# convention at index 1 never matters here.
+# convention at index 1 never matters here.  Beside the cache sits the last
+# row of the Seidel-Entringer triangle, row len(cache) - 1.
 _bernoulli_cache: list[Fraction] = [Fraction(1)]
+_zigzag_row: list[int] = [1]
 _bernoulli_lock = threading.Lock()
 
 
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n under the defining recurrence convention.
 
+    The values come from the zigzag numbers E_k, all in integers, by the
+    Seidel-Entringer boustrophedon (Knuth and Buckholtz, Math. Comp. 21,
+    1967; the tangent-number route of Brent and Harvey, "Fast computation of
+    Bernoulli, tangent and secant numbers", 2011).  Row 0 of the triangle is
+    [1], row k is the running sums of row k-1 reversed, from 0, and its last
+    entry is E_k.  The odd E_(m-1) are the tangent numbers, and for even
+    m >= 2
+
+        B_m = (-1)^(m/2-1) m E_(m-1) / (4^(m/2) (4^(m/2) - 1)),
+
+    while B_m = 0 for odd m >= 3.  Each new index costs one row of O(m)
+    integer additions.
+
     Values are computed on demand and cached; extension happens under a lock
     and appends only finished entries, so concurrent readers never observe a
     partially-written value.
     """
+    global _zigzag_row
     if n < 0:
         raise ValueError("index must be non-negative")
     if n < len(_bernoulli_cache):
         return _bernoulli_cache[n]
     with _bernoulli_lock:
+        row = _zigzag_row
         while len(_bernoulli_cache) <= n:
             m = len(_bernoulli_cache)
-            acc = Fraction(0)
-            for k in range(m):
-                acc += comb(m + 1, k) * _bernoulli_cache[k]
-            _bernoulli_cache.append(-acc / (m + 1))
+            if m == 1:
+                value = Fraction(-1, 2)
+            elif m % 2:
+                value = Fraction(0)
+            else:
+                power = 4 ** (m // 2)
+                sign = -1 if m % 4 == 0 else 1
+                value = Fraction(sign * m * row[-1], power * (power - 1))
+            row = list(accumulate(reversed(row), initial=0))
+            _zigzag_row = row
+            _bernoulli_cache.append(value)
     return _bernoulli_cache[n]
 
 

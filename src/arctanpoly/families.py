@@ -85,6 +85,15 @@ SINGLE_MEMBER_METHOD: dict[SequenceKind, BuildMethod] = {
 }
 
 
+# Largest member the Bernoulli-weighted monic routes build.  Step n sums
+# about n/2 earlier members with rational weights, so the prefix to n costs
+# about n^3 bigint operations: at 400, alpha and pi take about 2 s each on
+# a 2-vCPU host, and ``verify --suite cross --max-n 400`` about 4.7 s, while
+# alpha at 1200 runs for minutes.  The three-term recurrence builds the same
+# members in quadratic time.
+MAX_MONIC_BERNOULLI_DEGREE = 400
+
+
 class UnsupportedPairError(ValueError):
     """Raised when a (kind, method) combination has no defined construction."""
 
@@ -300,9 +309,15 @@ _prefix_cache: dict[tuple[SequenceKind, BuildMethod], tuple[list[Polynomial], It
 _prefix_lock = threading.Lock()
 
 
-def _check_pair(kind: SequenceKind, method: BuildMethod) -> None:
+def _check_pair(kind: SequenceKind, method: BuildMethod, n: int) -> None:
     if method not in SUPPORTED_METHODS[kind]:
         raise UnsupportedPairError(f"no {method.value} construction for kind {kind.value}")
+    if method is BuildMethod.MONIC_BERNOULLI and n > MAX_MONIC_BERNOULLI_DEGREE:
+        raise ValueError(
+            f"the {method.value} route builds n up to MAX_MONIC_BERNOULLI_DEGREE = "
+            f"{MAX_MONIC_BERNOULLI_DEGREE}, got {n}; the {BuildMethod.RECURRENCE.value} "
+            f"route builds the same members"
+        )
 
 
 def _power_members(key: tuple[SequenceKind, BuildMethod], start: int, stop: int) -> Iterator:
@@ -314,11 +329,15 @@ def _power_members(key: tuple[SequenceKind, BuildMethod], start: int, stop: int)
 def build_sequence(
     kind: SequenceKind, n_max: int, method: BuildMethod | None = None
 ) -> list[Polynomial]:
-    """Members 0..n_max of the family, all built by the same method."""
+    """Members 0..n_max of the family, all built by the same method.
+
+    Raises ValueError before any step when the method is ``MONIC_BERNOULLI``
+    and n_max exceeds MAX_MONIC_BERNOULLI_DEGREE.
+    """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     method = method or DEFAULT_METHOD[kind]
-    _check_pair(kind, method)
+    _check_pair(kind, method, n_max)
     key = (kind, method)
     if key in _MEMBERS:
         return [_wrap(_MEMBERS[key](n)) for n in range(n_max + 1)]
@@ -349,12 +368,13 @@ def build(kind: SequenceKind, n: int, method: BuildMethod | None = None) -> Poly
     last cached member when n is new.  Without a method this uses
     ``DEFAULT_METHOD``, the cached routes a growing session reuses;
     ``SINGLE_MEMBER_METHOD`` names the fastest route for one member built
-    alone.
+    alone.  The ``MONIC_BERNOULLI`` routes, pi's default among them, refuse
+    n above MAX_MONIC_BERNOULLI_DEGREE with a ValueError.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     method = method or DEFAULT_METHOD[kind]
-    _check_pair(kind, method)
+    _check_pair(kind, method, n)
     key = (kind, method)
     if key in _MEMBERS:
         return _wrap(_MEMBERS[key](n))

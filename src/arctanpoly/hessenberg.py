@@ -18,7 +18,6 @@ comparing it with pi_n checks the matrix as well as the brackets.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -47,6 +46,8 @@ class RationalMatrix:
         return len(self.entries)
 
     def json(self) -> str:
+        import json  # only this method needs it; keep it off the package import
+
         rows = [[format_rational(Fraction(v)) for v in row] for row in self.entries]
         return json.dumps({"n": self.n, "entries": rows})
 

@@ -258,14 +258,20 @@ def test_odd_degree_middle_node_is_an_exact_certified_zero(kind):
 
 @pytest.mark.parametrize("kind", [SequenceKind.BETA, SequenceKind.ALPHA])
 def test_mirrored_root_checks_equal_the_direct_certificate(kind):
-    # roots certifies the records with 2k <= n+1 and gives record k > (n+1)/2
-    # the check of its mirror n+1-k; each must be the check of its own value
+    # roots calls cot_node and certifies only the records with 2k <= n+1, and
+    # gives record k > (n+1)/2 the negated value and the check of its mirror
+    # n+1-k; each must be the node at its own index, with that node's check
     for n in list(range(1, 61)) + [215, 216, 400]:
         rs = roots(kind, n)
         p = build(kind, n, BuildMethod.RECURRENCE)
         with workprec(node_precision(n)):
+            if kind is SequenceKind.BETA:
+                nodes = [cot_node(k, n + 1) for k in range(1, n + 1)]
+            else:
+                nodes = [cot_node(2 * k - 1, 2 * n) for k in range(1, n + 1)]
             p_mpf, dp_mpf = prepare(p), prepare(p.differentiate())
-            direct = [certify_simple_root(p_mpf, r.value, dp_mpf) for r in rs.roots]
+            direct = [certify_simple_root(p_mpf, t, dp_mpf) for t in nodes]
+        assert [r.value._mpf_ for r in rs.roots] == [t._mpf_ for t in nodes], n
         assert [r.check for r in rs.roots] == direct, n
 
 

@@ -13,6 +13,7 @@ from arctanpoly.chebyshev import (
     tridiag_det,
     trig_spot_check,
 )
+from arctanpoly.connections import GraphFamily, GraphKind, matching_poly
 from arctanpoly.families import BuildMethod, SequenceKind, build
 from arctanpoly.poly import Polynomial
 
@@ -108,6 +109,17 @@ def test_chebyshev_and_bridge_match_index_loops(kind):
         bridged = _bridge_expansion(n, t)
         assert bridged == _loop_bridge_expansion(n, t), n
         assert all(type(c) is int for c in bridged.coefficients), n
+
+
+def test_chebyshev_coefficients_are_path_and_cycle_matching_numbers():
+    # U_n(x/2) and 2 T_n(x/2) against matchings counted by enumeration
+    half_x = Polynomial((0, Fraction(1, 2)))
+    for n in range(1, 15):
+        u = chebyshev(ChebyshevKind.SECOND_KIND, n)
+        assert u.compose(half_x) == matching_poly(GraphKind(GraphFamily.PATH, n)), n
+        if n >= 3:
+            t = chebyshev(ChebyshevKind.FIRST_KIND, n)
+            assert 2 * t.compose(half_x) == matching_poly(GraphKind(GraphFamily.CYCLE, n)), n
 
 
 def test_tridiag_examples():

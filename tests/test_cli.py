@@ -351,6 +351,32 @@ def test_verify_rejects_negative_max_n(capsys, suite, max_n):
     assert lines == [f"error: max-n must be non-negative, got {max_n}"]
 
 
+def test_poly_monic_bernoulli_past_the_cap_exits_2(capsys, monkeypatch):
+    # 400 is families.MAX_MONIC_BERNOULLI_DEGREE; nothing is stepped
+    monkeypatch.setattr(families, "_prefix_cache", {})
+    code, out, err = run_cli(
+        capsys, "poly", "--kind", "alpha", "--method", "monic-bernoulli", "--n", "401"
+    )
+    assert code == 2
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "MAX_MONIC_BERNOULLI_DEGREE = 400" in lines[0] and "recurrence" in lines[0]
+    assert families._prefix_cache == {}
+
+
+@pytest.mark.parametrize("suite", ["cross", "all"])
+def test_verify_past_the_monic_bernoulli_cap_exits_2_before_any_suite(capsys, monkeypatch, suite):
+    monkeypatch.setattr(families, "_prefix_cache", {})
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--max-n", "401")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: max-n must be at most MAX_MONIC_BERNOULLI_DEGREE = 400 for suite {suite}, got 401"
+    ]
+    assert families._prefix_cache == {}
+
+
 def test_verify_json_shape(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--suite", "cross", "--max-n", "2", "--format", "json"

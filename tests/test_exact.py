@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from arctanpoly import exact
 from arctanpoly.exact import (
     GaussianInt,
     bernoulli,
@@ -46,6 +47,18 @@ def test_bernoulli_defining_recurrence():
 
 def test_bernoulli_matches_fresh_regeneration():
     assert list(bernoulli_table(30)) == _bernoulli_oracle(31)
+
+
+@pytest.mark.parametrize("filled_to", [0, 10])
+def test_bernoulli_matches_the_defining_recurrence_to_300(monkeypatch, filled_to):
+    # the zigzag-triangle route, filled from scratch at once, or extended
+    # from a cache (and its triangle row) already filled to 10
+    monkeypatch.setattr(exact, "_bernoulli_cache", [Fraction(1)])
+    monkeypatch.setattr(exact, "_zigzag_row", [1])
+    bernoulli(filled_to)
+    table = bernoulli_table(300)
+    assert list(table) == _bernoulli_oracle(301)
+    assert all(type(v) is Fraction for v in table)
 
 
 def test_bernoulli_convention_at_one():

@@ -100,6 +100,27 @@ def test_unsupported_pairs_raise():
         build(SequenceKind.MONIC_PI, 3, BuildMethod.EXPLICIT)
 
 
+@pytest.mark.parametrize(
+    "kind, method",
+    [
+        (SequenceKind.MONIC_PI, None),  # pi's default route
+        (SequenceKind.MONIC_PI, BuildMethod.MONIC_BERNOULLI),
+        (SequenceKind.ALPHA, BuildMethod.MONIC_BERNOULLI),
+    ],
+)
+def test_monic_bernoulli_routes_refuse_past_the_cap_before_stepping(monkeypatch, kind, method):
+    # verify --max-n 150 must fit under the cap; only the refused n just past
+    # it is asked for, and the refusal comes before the prefix cache is touched
+    cap = fam.MAX_MONIC_BERNOULLI_DEGREE
+    assert cap == 400 and cap >= 150
+    monkeypatch.setattr(fam, "_prefix_cache", {})
+    with pytest.raises(ValueError, match="MAX_MONIC_BERNOULLI_DEGREE.*recurrence"):
+        build(kind, cap + 1, method)
+    with pytest.raises(ValueError, match="MAX_MONIC_BERNOULLI_DEGREE.*recurrence"):
+        build_sequence(kind, cap + 1, method)
+    assert fam._prefix_cache == {}
+
+
 def test_negative_index_rejected():
     with pytest.raises(ValueError):
         build(SequenceKind.BETA, -1)

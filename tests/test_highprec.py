@@ -37,18 +37,23 @@ print(json.dumps(seen))
 """
 
 
-def _mpmath_loaded_after(commands):
+def _run_fresh(code, *args):
+    """stdout of ``code`` run in a fresh interpreter that imports this checkout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, json.dumps(commands)],
+        [sys.executable, "-c", code, *args],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return [tuple(step) for step in json.loads(proc.stdout)]
+    return proc.stdout
+
+
+def _mpmath_loaded_after(commands):
+    return [tuple(step) for step in json.loads(_run_fresh(_PROBE, json.dumps(commands)))]
 
 
 def test_exact_commands_never_load_mpmath_and_roots_does():
@@ -65,6 +70,12 @@ def test_exact_commands_never_load_mpmath_and_roots_does():
     seen = _mpmath_loaded_after(exact + [["roots", "--kind", "beta", "--n", "4"]])
     assert seen[:-1] == [("import", False)] + [(" ".join(argv), False) for argv in exact]
     assert seen[-1] == ("roots --kind beta --n 4", True)
+
+
+def test_package_import_does_not_load_json():
+    # only RationalMatrix.json() and the CLI's JSON output need the module
+    loaded = _run_fresh("import sys, arctanpoly; print('json' in sys.modules)")
+    assert loaded.strip() == "False"
 
 
 def test_only_highprec_imports_mpmath():
