@@ -105,11 +105,12 @@ def artanh_nth_derivative(n: int, x: Fraction) -> Fraction:
     return Fraction(factorial(n - 1) * diff * q**n, 2 * (q * q - p * p) ** n)
 
 
-def chebyshev_derivative_form(n: int, x: Fraction, precision_bits: int = DEFAULT_PRECISION):
-    """The same arctan derivative through the U_{n-1} closed form, as an mpf."""
+def chebyshev_derivative_form(n: int, x: Fraction):
+    """The same arctan derivative through the U_{n-1} closed form, as an mpf
+    at DEFAULT_PRECISION."""
     if n < 1:
         raise ValueError("derivative order must be >= 1")
-    with workprec(precision_bits):
+    with workprec(DEFAULT_PRECISION):
         t = to_mpf(Fraction(x))
         s = highprec.sqrt(1 + t * t)
         z = -t / s
@@ -123,22 +124,17 @@ def chebyshev_derivative_form(n: int, x: Fraction, precision_bits: int = DEFAULT
         return highprec.factorial(n - 1) / s ** (n + 1) * u
 
 
-def finite_difference_derivative(
-    n: int,
-    x: Fraction,
-    step_exponent: int = 10,
-    precision_bits: int = 256,
-):
+def finite_difference_derivative(n: int, x: Fraction):
     """Independent numeric estimate of the n-th arctan derivative.
 
-    Central binomial stencil with step h = 2**-step_exponent plus one
+    Central binomial stencil with step h = 2**-10 at 256 bits, plus one
     Richardson extrapolation step (combining h and h/2 kills the h^2 term).
     Well-conditioned for small orders; intended as a sanity oracle up to
     n = 5.
     """
     if n < 1:
         raise ValueError("derivative order must be >= 1")
-    with workprec(precision_bits):
+    with workprec(256):
         x0 = to_mpf(Fraction(x))
 
         def central(h):
@@ -149,7 +145,7 @@ def finite_difference_derivative(
                 acc += (-1) ** j * highprec.binomial(n, j) * sample
             return acc / h**n
 
-        h = mpf(2) ** (-step_exponent)
+        h = mpf(2) ** -10
         coarse = central(h)
         fine = central(h / 2)
         return (4 * fine - coarse) / 3

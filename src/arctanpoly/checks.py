@@ -1,9 +1,9 @@
 """Named verification suites over every identity the library materializes.
 
 Each suite yields deterministic (check, n, passed, detail) rows; the CLI
-maps any failure to a nonzero exit code.  Default caps follow the module
-contracts: exact Hessenberg work stops at 12 (Bernoulli numerators grow
-fast), matching enumeration at 14, root certification at 50.
+maps any failure to a nonzero exit code.  Caps follow the module
+contracts: exact Hessenberg work stops at 12, matching enumeration at 14,
+root certification at 50.
 """
 from __future__ import annotations
 
@@ -20,21 +20,14 @@ from .families import (
     SequenceKind,
     build_sequence,
     cross_validate,
-    verify_egf,
-    verify_ogf,
 )
 from .highprec import sqrt, to_mpf, workprec
 from .poly import Polynomial
 
 SUITE_NAMES = ("identities", "cross", "connections", "hessenberg", "series")
 HESSENBERG_CAP = 12
-# charpoly(build_H(n)) takes 0.1 s at n = 40, 0.7 s at 60 and 2.8 s at 80 on
-# a 2-vCPU host, and the bracket rows already stop at 40.
-MAX_HESSENBERG_CAP = 40
 ENUMERATION_CAP = 14
 ROOT_CAP = 50
-GF_ORDER = 40
-GF_POINTS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(3))
 RANDOM_SEED = 987654321
 
 
@@ -70,12 +63,6 @@ def suite_identities(max_n: int) -> list[CheckRow]:
             and alpha_n.degree == n
         )
         rows.append(_row("identities", "degree-and-leading", n, lead_ok))
-        sparsity = all(
-            beta_n.coefficient(k) == 0 and alpha_n.coefficient(k) == 0
-            for k in range(n + 1)
-            if (n - k) % 2
-        )
-        rows.append(_row("identities", "alternating-zeros", n, sparsity))
 
         rows.append(
             _row("identities", "ode[beta]", n, not calculus.ode_residual(SequenceKind.BETA, n))
@@ -130,25 +117,6 @@ def suite_identities(max_n: int) -> list[CheckRow]:
             _row("identities", "chebyshev-bridge[alpha]", n, alpha_from_chebyshev(n) == alpha_n)
         )
 
-    for x in GF_POINTS:
-        for kind in (SequenceKind.BETA, SequenceKind.ALPHA):
-            rows.append(
-                _row(
-                    "identities",
-                    f"ogf[{kind.value}](x={x})",
-                    None,
-                    verify_ogf(kind, x, GF_ORDER),
-                )
-            )
-            rows.append(
-                _row(
-                    "identities",
-                    f"egf[{kind.value}](x={x})",
-                    None,
-                    verify_egf(kind, x, GF_ORDER),
-                )
-            )
-
     for kind in (SequenceKind.BETA, SequenceKind.ALPHA):
         for n in range(1, min(max_n, ROOT_CAP) + 1):
             rs = calculus.roots(kind, n)
@@ -173,27 +141,15 @@ def suite_cross(max_n: int) -> list[CheckRow]:
     return rows
 
 
-def _check_hessenberg_cap(cap: int) -> None:
-    if cap < 1:
-        raise ValueError(f"hessenberg cap must be at least 1, got {cap}")
-    if cap > MAX_HESSENBERG_CAP:
-        raise ValueError(f"hessenberg cap must be at most {MAX_HESSENBERG_CAP}, got {cap}")
-
-
-def suite_hessenberg(max_n: int, cap: int = HESSENBERG_CAP) -> list[CheckRow]:
-    _check_hessenberg_cap(cap)
+def suite_hessenberg(max_n: int) -> list[CheckRow]:
     rows = []
-    top = min(max_n, cap)
     spot = {(1, 1): Fraction(1, 3), (3, 3): Fraction(2, 15), (5, 5): Fraction(16, 63)}
     for (n, j), expected in spot.items():
         if n <= max_n:
             rows.append(
                 _row("hessenberg", f"bracket({n},{j})", n, hessenberg.bracket(n, j) == expected)
             )
-    for n in range(2, min(max_n, 40) + 1):
-        ok = all(hessenberg.bracket(n, j) == 0 for j in range(2, n + 1, 2))
-        rows.append(_row("hessenberg", "bracket-even-offsets-vanish", n, ok))
-    for n in range(1, top + 1):
+    for n in range(1, min(max_n, HESSENBERG_CAP) + 1):
         cp = hessenberg.charpoly(hessenberg.build_H(n))
         rows.append(
             _row("hessenberg", "charpoly-is-monic-family", n, cp == hessenberg.monic_reference(n))
@@ -255,17 +211,14 @@ def _tan_multiple_matches(ratio, n: int, x: Fraction) -> bool:
 def suite_connections(max_n: int) -> list[CheckRow]:
     rows = []
     x = Polynomial.x()
-    arguments = (x, 2 * x, Polynomial((1, 0, 1)))
-    for h in arguments:
-        for n in range(1, min(max_n, 12) + 1):
-            fib_ok = connections.fibonacci_poly(
-                n, h, connections.FibonacciMethod.RECURRENCE_ORACLE
-            ) == connections.fibonacci_poly(n, h, connections.FibonacciMethod.CLOSED_FORM)
-            luc_ok = connections.lucas_poly(
-                n, h, connections.FibonacciMethod.RECURRENCE_ORACLE
-            ) == connections.lucas_poly(n, h, connections.FibonacciMethod.CLOSED_FORM)
-            rows.append(_row("connections", f"fibonacci-methods[h={h.pretty()}]", n, fib_ok))
-            rows.append(_row("connections", f"lucas-methods[h={h.pretty()}]", n, luc_ok))
+    # both routes are ring expressions in h, so agreement at h = x is the
+    # identity in Q[h]; any other h is a substitution into it
+    method = connections.FibonacciMethod
+    sequences = (("fibonacci", connections.fibonacci_poly), ("lucas", connections.lucas_poly))
+    for n in range(1, min(max_n, 12) + 1):
+        for name, fn in sequences:
+            ok = fn(n, x, method.RECURRENCE_ORACLE) == fn(n, x, method.CLOSED_FORM)
+            rows.append(_row("connections", f"{name}-methods[h=x]", n, ok))
     fib_numbers = [
         connections.fibonacci_poly(n, x).evaluate(Fraction(1)) for n in range(1, 7)
     ]
@@ -306,21 +259,20 @@ def suite_connections(max_n: int) -> list[CheckRow]:
     return rows
 
 
-def run_suite(name: str, max_n: int, hessenberg_cap: int = HESSENBERG_CAP) -> list[CheckRow]:
+def run_suite(name: str, max_n: int) -> list[CheckRow]:
+    # both bounds before any suite runs: cross builds the monic-bernoulli
+    # members up to max-n, and identities grows as about max-n^3.3
     if max_n < 0:
         raise ValueError(f"max-n must be non-negative, got {max_n}")
-    _check_hessenberg_cap(hessenberg_cap)  # both before any suite runs
-    if name in ("cross", "all") and max_n > MAX_MONIC_BERNOULLI_DEGREE:
-        # cross builds the monic-bernoulli members up to max-n, and in "all"
-        # it runs after identities: refuse before either
+    if max_n > MAX_MONIC_BERNOULLI_DEGREE:
         raise ValueError(
             f"max-n must be at most MAX_MONIC_BERNOULLI_DEGREE = "
-            f"{MAX_MONIC_BERNOULLI_DEGREE} for suite {name}, got {max_n}"
+            f"{MAX_MONIC_BERNOULLI_DEGREE}, got {max_n}"
         )
     if name == "all":
         rows = []
         for suite in SUITE_NAMES:
-            rows.extend(run_suite(suite, max_n, hessenberg_cap))
+            rows.extend(run_suite(suite, max_n))
         return rows
     if name == "identities":
         return suite_identities(max_n)
@@ -329,7 +281,7 @@ def run_suite(name: str, max_n: int, hessenberg_cap: int = HESSENBERG_CAP) -> li
     if name == "connections":
         return suite_connections(max_n)
     if name == "hessenberg":
-        return suite_hessenberg(max_n, hessenberg_cap)
+        return suite_hessenberg(max_n)
     if name == "series":
         return suite_series(max_n)
     raise ValueError(f"unknown suite: {name}")

@@ -115,7 +115,7 @@ def _cmd_deriv(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    rows = checks.run_suite(args.suite, args.max_n, args.hessenberg_cap)
+    rows = checks.run_suite(args.suite, args.max_n)
     failures = [r for r in rows if not r.passed]
     if args.format == "json":
         print(
@@ -274,13 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--suite", default="all", choices=("all",) + checks.SUITE_NAMES
     )
     p_verify.add_argument("--max-n", dest="max_n", type=int, default=50)
-    p_verify.add_argument(
-        "--hessenberg-cap",
-        dest="hessenberg_cap",
-        type=int,
-        default=checks.HESSENBERG_CAP,
-        help=f"exact charpoly verification cap, 1 to {checks.MAX_HESSENBERG_CAP}",
-    )
     p_verify.add_argument("--format", default="text", choices=["text", "json", "csv"])
     p_verify.set_defaults(handler=_cmd_verify)
 

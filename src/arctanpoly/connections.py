@@ -4,7 +4,19 @@ tan(n * arctan x) is a ratio of family members split by parity; Fibonacci
 and Lucas polynomials in an arbitrary polynomial argument h admit
 binomial closed forms over sqrt(h^2+4) powers that clear exactly; matching
 polynomials of paths and cycles are Chebyshev polynomials in disguise and
-are triple-checked against brute-force matching enumeration.
+are built three ways, one of them brute-force matching enumeration.
+
+The paper's link to beta and alpha is a chain of two ``verify`` rows.  The
+``matching[path]`` row at n ties the enumerated matching numbers m(P_n, k)
+to the coefficients of U_n, and the ``chebyshev-bridge[beta]`` row at n
+sums those coefficients into beta_n, so together they prove
+
+    beta_n = sum_k (-1)^k m(P_n, k) (2x)^(n-2k) (1+x^2)^k,
+
+and ``matching[cycle]`` with ``chebyshev-bridge[alpha]`` give 2 alpha_n as
+the same sum over m(C_n, k), n >= 3.  In two-variable form beta_n =
+F_(n+1)(2x, -(1+x^2)) and 2 alpha_n = L_n(2x, -(1+x^2)), but their
+recurrence W_(k+1) = a W_k + b W_(k-1) is the three-term recurrence itself.
 """
 from __future__ import annotations
 

@@ -68,15 +68,16 @@ DEFAULT_METHOD: dict[SequenceKind, BuildMethod] = {
     SequenceKind.BETA: BuildMethod.RECURRENCE,
     SequenceKind.ALPHA: BuildMethod.RECURRENCE,
     SequenceKind.P: BuildMethod.EXPLICIT,
-    SequenceKind.MONIC_PI: BuildMethod.MONIC_BERNOULLI,
+    SequenceKind.MONIC_PI: BuildMethod.RECURRENCE,
 }
 
 # The route for one member built alone, as the one-shot ``poly`` command
 # does.  For beta and alpha the 2F1 term ratio gives member n in O(n) exact
 # steps and keeps no prefix, while the recurrence steps through and stores
 # every member before it.  DEFAULT_METHOD stays the cached recurrence
-# because growing library sessions reuse its prefix.  pi has no O(n) route;
-# its recurrence still beats the cubic Bernoulli route.
+# because growing library sessions reuse its prefix.  pi has no O(n) route,
+# so both tables give it the recurrence, quadratic where the Bernoulli
+# route is cubic.
 SINGLE_MEMBER_METHOD: dict[SequenceKind, BuildMethod] = {
     SequenceKind.BETA: BuildMethod.HYPERGEOMETRIC,
     SequenceKind.ALPHA: BuildMethod.HYPERGEOMETRIC,
@@ -368,7 +369,7 @@ def build(kind: SequenceKind, n: int, method: BuildMethod | None = None) -> Poly
     last cached member when n is new.  Without a method this uses
     ``DEFAULT_METHOD``, the cached routes a growing session reuses;
     ``SINGLE_MEMBER_METHOD`` names the fastest route for one member built
-    alone.  The ``MONIC_BERNOULLI`` routes, pi's default among them, refuse
+    alone.  The ``MONIC_BERNOULLI`` routes, which no default uses, refuse
     n above MAX_MONIC_BERNOULLI_DEGREE with a ValueError.
     """
     if n < 0:

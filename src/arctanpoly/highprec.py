@@ -255,7 +255,7 @@ def cot_node(k: int, m: int):
     return mpmath.cot(mpmath.pi * k / m)
 
 
-def atan_reference(x: Fraction, precision_bits: int = 256):
+def atan_reference(x: Fraction, precision_bits: int):
     """Reference arctan of an exact rational, as an mpf."""
     with workprec(precision_bits):
         return atan(to_mpf(x))

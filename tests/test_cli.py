@@ -3,9 +3,11 @@ import contextlib
 import csv
 import io
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -310,36 +312,21 @@ def test_verify_connections_fibonacci_rows_stay_within_max_n(capsys, max_n):
     )
     assert code == 0
     for family in ("fibonacci", "lucas"):
-        for h in ("x", "2x", "x^2 + 1"):
-            name = f"{family}-methods[h={h}]"
-            ns = [row["n"] for row in json.loads(out) if row["check"] == name]
-            assert ns == list(range(1, max_n + 1)), name
+        name = f"{family}-methods[h=x]"
+        ns = [row["n"] for row in json.loads(out) if row["check"] == name]
+        assert ns == list(range(1, max_n + 1)), name
 
 
-@pytest.mark.parametrize("cap", ["0", "-1"])
-def test_verify_rejects_hessenberg_cap_below_one(capsys, cap):
-    code, out, err = run_cli(
-        capsys, "verify", "--suite", "hessenberg", "--max-n", "5", "--hessenberg-cap", cap
-    )
-    assert code == 2
-    assert out == ""
-    lines = err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:") and "hessenberg cap" in lines[0]
-
-
-@pytest.mark.parametrize("cap, code", [("40", 0), ("41", 2)])
-def test_verify_hessenberg_cap_bound(capsys, cap, code):
-    # --max-n 3 keeps every charpoly small whatever the cap
-    assert checks.MAX_HESSENBERG_CAP == 40
-    got, out, err = run_cli(
-        capsys, "verify", "--suite", "hessenberg", "--max-n", "3", "--hessenberg-cap", cap
-    )
-    assert got == code
-    if code:
-        assert out == ""
-        assert err.splitlines() == ["error: hessenberg cap must be at most 40, got 41"]
-    else:
-        assert out.endswith(" checks passed\n") and err == ""
+def test_verify_has_no_hessenberg_cap_option(capsys):
+    # the exact charpoly rows stop at checks.HESSENBERG_CAP; even that value
+    # is refused as an option
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "hessenberg", "--max-n", "3", "--hessenberg-cap", "12"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: arctanpoly ")
+    assert "error: unrecognized arguments: --hessenberg-cap 12" in captured.err
 
 
 @pytest.mark.parametrize("suite, max_n", [("series", "-3"), ("cross", "-1")])
@@ -365,14 +352,15 @@ def test_poly_monic_bernoulli_past_the_cap_exits_2(capsys, monkeypatch):
     assert families._prefix_cache == {}
 
 
-@pytest.mark.parametrize("suite", ["cross", "all"])
+@pytest.mark.parametrize("suite", ("all",) + checks.SUITE_NAMES)
 def test_verify_past_the_monic_bernoulli_cap_exits_2_before_any_suite(capsys, monkeypatch, suite):
+    # one bound for every suite; only the refused value just past it is run
     monkeypatch.setattr(families, "_prefix_cache", {})
     code, out, err = run_cli(capsys, "verify", "--suite", suite, "--max-n", "401")
     assert code == 2
     assert out == ""
     assert err.splitlines() == [
-        f"error: max-n must be at most MAX_MONIC_BERNOULLI_DEGREE = 400 for suite {suite}, got 401"
+        "error: max-n must be at most MAX_MONIC_BERNOULLI_DEGREE = 400, got 401"
     ]
     assert families._prefix_cache == {}
 
@@ -423,6 +411,10 @@ def test_verify_rows_are_one_per_fact():
     # a (suite, check, n) key that repeats would be a row restating another
     keys = [(row.suite, row.check, row.n) for row in checks.run_suite("all", 20)]
     assert len(keys) == len(set(keys))
+    # the README states the row count of verify --suite all --max-n 150
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    stated = re.search(r"`verify --suite all --max-n 150`\s+runs ([\d,]+) rows", readme)
+    assert int(stated.group(1).replace(",", "")) == len(checks.run_suite("all", 150))
 
 
 def test_verify_is_deterministic(capsys):

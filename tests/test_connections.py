@@ -138,6 +138,16 @@ def test_lucas_number_specialization():
     assert numbers == [1, 3, 4, 7, 11]
 
 
+@pytest.mark.parametrize("fn", [fibonacci_poly, lucas_poly])
+@pytest.mark.parametrize("method", list(FibonacciMethod))
+def test_fibonacci_and_lucas_commute_with_substitution(fn, method):
+    # both routes are ring expressions in h, so a route at h is the route at
+    # x composed with h; verify checks the two routes agree at h = x only
+    for h in (2 * X, Polynomial((1, 0, 1))):
+        for n in range(1, 13):
+            assert fn(n, h, method) == fn(n, X, method).compose(h)
+
+
 @pytest.mark.parametrize("h", [X, 2 * X, Polynomial((1, 0, 1))])
 def test_closed_forms_match_recurrences(h):
     for n in range(1, 13):

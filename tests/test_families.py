@@ -100,10 +100,19 @@ def test_unsupported_pairs_raise():
         build(SequenceKind.MONIC_PI, 3, BuildMethod.EXPLICIT)
 
 
+def test_pi_default_route_builds_past_the_monic_bernoulli_cap():
+    # the default is the quadratic recurrence, which has no degree cap
+    n = fam.MAX_MONIC_BERNOULLI_DEGREE + 1
+    assert fam.DEFAULT_METHOD[SequenceKind.MONIC_PI] is BuildMethod.RECURRENCE
+    pi_n = build(SequenceKind.MONIC_PI, n)
+    assert pi_n == build(SequenceKind.MONIC_PI, n, BuildMethod.RECURRENCE)
+    beta_n = build(SequenceKind.BETA, n, BuildMethod.HYPERGEOMETRIC)
+    assert pi_n == beta_n.scale(Fraction(1, n + 1))
+
+
 @pytest.mark.parametrize(
     "kind, method",
     [
-        (SequenceKind.MONIC_PI, None),  # pi's default route
         (SequenceKind.MONIC_PI, BuildMethod.MONIC_BERNOULLI),
         (SequenceKind.ALPHA, BuildMethod.MONIC_BERNOULLI),
     ],
