@@ -21,7 +21,7 @@ from math import factorial
 
 from . import families, highprec
 from .exact import GaussianInt, gaussian_pow
-from .families import BuildMethod, SequenceKind
+from .families import SequenceKind
 from .highprec import (
     DEFAULT_PRECISION,
     RootCheck,
@@ -209,7 +209,7 @@ def roots(kind: SequenceKind, n: int) -> RootSet:
         raise ValueError(f"n = {n} exceeds MAX_ROOT_DEGREE = {MAX_ROOT_DEGREE}")
     if kind not in (SequenceKind.BETA, SequenceKind.ALPHA):
         raise ValueError("root sets are defined for the beta and alpha families")
-    p = families.build(kind, n, BuildMethod.RECURRENCE)
+    p = families.build(kind, n)
     records = []
     with workprec(node_precision(n)):
         p_mpf, dp_mpf = prepare(p), prepare(p.differentiate())
@@ -242,7 +242,7 @@ def sign_changes_between_roots(kind: SequenceKind, n: int) -> bool:
     for a, b in zip(points, points[1:]):
         probes.append((a + b) / 2)
     probes.append(points[-1] - 1)
-    p = families.build(kind, n, BuildMethod.RECURRENCE)
+    p = families.build(kind, n)
     signs = []
     for t in probes:
         v = p.evaluate(t)
@@ -260,7 +260,7 @@ def ode_residual(kind: SequenceKind, n: int) -> Polynomial:
     """
     if kind not in (SequenceKind.BETA, SequenceKind.ALPHA):
         raise ValueError("the ODE applies to the beta and alpha families")
-    p = families.build(kind, n, BuildMethod.RECURRENCE)
+    p = families.build(kind, n)
     dp = p.differentiate()
     ddp = dp.differentiate()
     one_plus_sq = Polynomial((1, 0, 1))

@@ -29,7 +29,7 @@ from enum import Enum
 from operator import add
 
 from . import families
-from .families import BuildMethod, SequenceKind
+from .families import SequenceKind
 from .highprec import certifies, cot_node, eval_poly, node_precision, workprec
 from .poly import Polynomial, _spread
 
@@ -115,7 +115,7 @@ def trig_spot_check(n: int, k: int) -> bool:
     """
     if not 1 <= k <= n:
         raise ValueError("k must lie in 1..n")
-    p = families.build(SequenceKind.BETA, n, BuildMethod.RECURRENCE)
+    p = families.build(SequenceKind.BETA, n)
     dp = p.differentiate()
     with workprec(node_precision(n)):
         r = cot_node(k, n + 1)

@@ -16,7 +16,6 @@ from .chebyshev import alpha_from_chebyshev, beta_from_chebyshev
 from .exact import GaussianInt, gaussian_pow
 from .families import (
     MAX_MONIC_BERNOULLI_DEGREE,
-    BuildMethod,
     SequenceKind,
     build_sequence,
     cross_validate,
@@ -46,8 +45,8 @@ def _row(suite, check, n, passed, detail=""):
 
 def suite_identities(max_n: int) -> list[CheckRow]:
     rows = []
-    betas = build_sequence(SequenceKind.BETA, max_n + 1, BuildMethod.RECURRENCE)
-    alphas = build_sequence(SequenceKind.ALPHA, max_n + 1, BuildMethod.RECURRENCE)
+    betas = build_sequence(SequenceKind.BETA, max_n + 1)
+    alphas = build_sequence(SequenceKind.ALPHA, max_n + 1)
     x_poly = Polynomial.x()
     one_plus_sq = Polynomial((1, 0, 1))
     shells = [Polynomial.one()]  # (1+x^2)^j
@@ -247,8 +246,8 @@ def suite_connections(max_n: int) -> list[CheckRow]:
         detail = "" if wrong is None else f"differs from Im/Re((1+ix)^{n}) at x={wrong}"
         rows.append(_row("connections", "tan-multiple-spot", n, wrong is None, detail))
 
-    betas = build_sequence(SequenceKind.BETA, min(max_n, 30), BuildMethod.RECURRENCE)
-    alphas = build_sequence(SequenceKind.ALPHA, min(max_n, 30), BuildMethod.RECURRENCE)
+    betas = build_sequence(SequenceKind.BETA, min(max_n, 30))
+    alphas = build_sequence(SequenceKind.ALPHA, min(max_n, 30))
     one_plus_sq = Polynomial((1, 0, 1))
     # the odd-n form, beta_n - x beta_{n-1} == alpha_n, is the identities
     # suite's interchange[alpha-from-beta] row

@@ -1,10 +1,18 @@
 """Bridges from the beta/alpha families to other classical polynomial sequences.
 
-tan(n * arctan x) is a ratio of family members split by parity; Fibonacci
-and Lucas polynomials in an arbitrary polynomial argument h admit
-binomial closed forms over sqrt(h^2+4) powers that clear exactly; matching
-polynomials of paths and cycles are Chebyshev polynomials in disguise and
-are built three ways, one of them brute-force matching enumeration.
+tan(n * arctan x) is a ratio of family members split by parity.  The
+sequences W_(k+1) = h W_k + b W_(k-1) from F_0 = 0, F_1 = 1 and from
+L_0 = 2, L_1 = h have the binomial closed forms
+
+    F_n(h, b) = 2^(1-n) sum_k C(n, 2k+1) h^(n-1-2k) (h^2+4b)^k,
+    L_n(h, b) = 2^(1-n) sum_k C(n, 2k)   h^(n-2k)   (h^2+4b)^k.
+
+Fibonacci and Lucas polynomials in a polynomial argument h are F_n(h, 1)
+and L_n(h, 1), checked against the recurrence; the matching polynomials of
+paths and cycles are mu(P_n, x) = F_(n+1)(x, -1) and mu(C_n, x) =
+L_n(x, -1) (C. D. Godsil, Algebraic Combinatorics, 1993, ch. 1), checked
+against brute-force enumeration and the Chebyshev transform.  All four
+closed-form routes share one expansion, ``_binomial_form``.
 
 The paper's link to beta and alpha is a chain of two ``verify`` rows.  The
 ``matching[path]`` row at n ties the enumerated matching numbers m(P_n, k)
@@ -14,9 +22,9 @@ sums those coefficients into beta_n, so together they prove
     beta_n = sum_k (-1)^k m(P_n, k) (2x)^(n-2k) (1+x^2)^k,
 
 and ``matching[cycle]`` with ``chebyshev-bridge[alpha]`` give 2 alpha_n as
-the same sum over m(C_n, k), n >= 3.  In two-variable form beta_n =
-F_(n+1)(2x, -(1+x^2)) and 2 alpha_n = L_n(2x, -(1+x^2)), but their
-recurrence W_(k+1) = a W_k + b W_(k-1) is the three-term recurrence itself.
+the same sum over m(C_n, k), n >= 3.  Also beta_n = F_(n+1)(2x, -(1+x^2))
+and 2 alpha_n = L_n(2x, -(1+x^2)), but that recurrence is the three-term
+recurrence itself.
 """
 from __future__ import annotations
 
@@ -27,7 +35,7 @@ from math import comb
 
 from . import families
 from .chebyshev import ChebyshevKind, chebyshev
-from .families import BuildMethod, SequenceKind
+from .families import SequenceKind
 from .poly import Polynomial
 
 
@@ -93,55 +101,53 @@ class TanRatio:
 def tan_multiple(n: int) -> TanRatio:
     if n < 1:
         raise ValueError("n must be positive")
-    alpha_n = families.build(SequenceKind.ALPHA, n, BuildMethod.RECURRENCE)
-    beta_prev = families.build(SequenceKind.BETA, n - 1, BuildMethod.RECURRENCE)
+    alpha_n = families.build(SequenceKind.ALPHA, n)
+    beta_prev = families.build(SequenceKind.BETA, n - 1)
     if n % 2 == 0:
         return TanRatio(-beta_prev, alpha_n, "even")
     return TanRatio(alpha_n, beta_prev, "odd")
 
 
-def _closed_form(n: int, h: Polynomial, odd_offset: int) -> Polynomial:
-    # 2^(1-n) * sum_k C(n, 2k + odd_offset) h^(n - odd_offset - 2k) (h^2+4)^k
-    shifted = h * h + 4
+def _binomial_form(n: int, h: Polynomial, odd: int, b: int) -> Polynomial:
+    """F_n(h, b) for odd = 1, L_n(h, b) for odd = 0: 2^(1-n) sum_k
+    C(n, 2k+odd) h^(n-odd-2k) (h^2+4b)^k, by Horner in s = h^2+4b from the
+    top k down, with a power of h that starts at h^((n-odd) % 2)."""
+    h_sq = h * h
+    s = h_sq + 4 * b
+    h_pow = h if (n - odd) % 2 else Polynomial.one()
     acc = Polynomial.zero()
-    shift_pow = Polynomial.one()
-    top = (n - odd_offset) // 2
-    for k in range(top + 1):
-        acc = acc + comb(n, 2 * k + odd_offset) * (h ** (n - odd_offset - 2 * k) * shift_pow)
-        shift_pow = shift_pow * shifted
+    for k in range((n - odd) // 2, -1, -1):
+        acc = acc * s + comb(n, 2 * k + odd) * h_pow
+        h_pow = h_pow * h_sq
     return acc.scale(Fraction(1, 2 ** (n - 1)))
+
+
+def _fibonacci_type(n: int, h: Polynomial, method: FibonacciMethod, odd: int) -> Polynomial:
+    # F_n (odd = 1) or L_n (odd = 0): W_(k+1) = h W_k + W_(k-1) from W_0, W_1
+    if n < 1:
+        raise ValueError("n must be positive")
+    if method is FibonacciMethod.CLOSED_FORM:
+        return _binomial_form(n, h, odd, 1)
+    prev, cur = (Polynomial.zero(), Polynomial.one()) if odd else (Polynomial((2,)), h)
+    for _ in range(n - 1):
+        prev, cur = cur, h * cur + prev
+    return cur
 
 
 def fibonacci_poly(
     n: int, h: Polynomial, method: FibonacciMethod = FibonacciMethod.RECURRENCE_ORACLE
 ) -> Polynomial:
-    """Fibonacci polynomial in the argument h: F_1 = 1, F_2 = h,
-    F_k = h F_{k-1} + F_{k-2}; closed form 2^(1-n) sum_k C(n,2k+1)
-    h^(n-1-2k) (h^2+4)^k."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if method is FibonacciMethod.CLOSED_FORM:
-        return _closed_form(n, h, 1)
-    prev, cur = Polynomial.zero(), Polynomial.one()
-    for _ in range(n - 1):
-        prev, cur = cur, h * cur + prev
-    return cur
+    """Fibonacci polynomial F_n(h, 1) in the argument h: F_1 = 1, F_2 = h,
+    F_k = h F_{k-1} + F_{k-2}."""
+    return _fibonacci_type(n, h, method, 1)
 
 
 def lucas_poly(
     n: int, h: Polynomial, method: FibonacciMethod = FibonacciMethod.RECURRENCE_ORACLE
 ) -> Polynomial:
-    """Lucas polynomial in the argument h: L_1 = h, L_2 = h^2 + 2,
-    L_k = h L_{k-1} + L_{k-2}; closed form 2^(1-n) sum_k C(n,2k)
-    h^(n-2k) (h^2+4)^k."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if method is FibonacciMethod.CLOSED_FORM:
-        return _closed_form(n, h, 0)
-    prev, cur = 2 * Polynomial.one(), h
-    for _ in range(n - 1):
-        prev, cur = cur, h * cur + prev
-    return cur
+    """Lucas polynomial L_n(h, 1) in the argument h: L_1 = h, L_2 = h^2 + 2,
+    L_k = h L_{k-1} + L_{k-2}."""
+    return _fibonacci_type(n, h, method, 0)
 
 
 def _count_matchings(graph: GraphKind) -> list[int]:
@@ -168,9 +174,9 @@ def matching_poly(
 ) -> Polynomial:
     """Matching polynomial sum_k (-1)^k m(G,k) x^(n-2k) of a path or cycle.
 
-    Enumeration counts independent edge sets exhaustively (n <= 16);
-    the closed forms expand (4 - x^2)^k binomial sums; the transform route
-    is U_n(x/2) for paths and 2 T_n(x/2) for cycles.
+    Enumeration counts independent edge sets exhaustively (n <= 16); the
+    closed forms are F_(n+1)(x, -1) for paths and L_n(x, -1) for cycles; the
+    transform route is U_n(x/2) for paths and 2 T_n(x/2) for cycles.
     """
     n = graph.vertices
     if method is MatchingMethod.ENUMERATION:
@@ -181,23 +187,12 @@ def matching_poly(
         for k, m_k in enumerate(counts):
             coeffs[n - 2 * k] = (-1) ** k * m_k
         return Polynomial(coeffs)
+    path = graph.family is GraphFamily.PATH
     if method is MatchingMethod.CHEBYSHEV_TRANSFORM:
-        half_x = Polynomial((0, Fraction(1, 2)))
-        if graph.family is GraphFamily.PATH:
-            return chebyshev(ChebyshevKind.SECOND_KIND, n).compose(half_x)
-        return 2 * chebyshev(ChebyshevKind.FIRST_KIND, n).compose(half_x)
-    # closed forms, with (4 - x^2)^k expanded exactly:
-    #   path:  2^-n     sum_k (-1)^k C(n+1, 2k+1) x^(n-2k) (4-x^2)^k
-    #   cycle: 2^-(n-1) sum_k (-1)^k C(n, 2k)     x^(n-2k) (4-x^2)^k
-    four_minus_sq = Polynomial((4, 0, -1))
-    acc = Polynomial.zero()
-    pw = Polynomial.one()
-    for k in range(n // 2 + 1):
-        if graph.family is GraphFamily.PATH:
-            c = comb(n + 1, 2 * k + 1)
-        else:
-            c = comb(n, 2 * k)
-        acc = acc + ((-1) ** k * c) * (Polynomial.monomial(n - 2 * k) * pw)
-        pw = pw * four_minus_sq
-    scale = Fraction(1, 2**n if graph.family is GraphFamily.PATH else 2 ** (n - 1))
-    return acc.scale(scale)
+        # x -> x/2 scales coefficient k by 2^-k
+        kind, factor = (ChebyshevKind.SECOND_KIND, 1) if path else (ChebyshevKind.FIRST_KIND, 2)
+        coeffs = chebyshev(kind, n).coefficients
+        return Polynomial([Fraction(factor * c, 1 << k) for k, c in enumerate(coeffs)])
+    # mu(P_n, x) = F_(n+1)(x, -1) and mu(C_n, x) = L_n(x, -1)
+    x = Polynomial.x()
+    return _binomial_form(n + 1, x, 1, -1) if path else _binomial_form(n, x, 0, -1)

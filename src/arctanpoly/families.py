@@ -264,9 +264,7 @@ def _monic_bernoulli(coeff: Callable[[int, int], Fraction]):
         out = [0] + [scale * v for v in cur]
         for num, term_den, nums in terms:
             factor = num * (den // term_den)
-            for i, v in enumerate(nums):
-                if v:
-                    out[i] -= factor * v
+            out = _radd_scaled(out, nums, -factor)
         g = gcd(den, *out)
         if g != 1:
             out = [v // g for v in out]
@@ -367,9 +365,10 @@ def build(kind: SequenceKind, n: int, method: BuildMethod | None = None) -> Poly
     it without keeping the members before it; the recurrence-style methods
     read member n from the shared prefix cache, which steps forward from its
     last cached member when n is new.  Without a method this uses
-    ``DEFAULT_METHOD``, the cached routes a growing session reuses;
-    ``SINGLE_MEMBER_METHOD`` names the fastest route for one member built
-    alone.  The ``MONIC_BERNOULLI`` routes, which no default uses, refuse
+    ``DEFAULT_METHOD``, the cached routes a growing session reuses; every
+    library caller that does not compare routes leaves the method out, so
+    this table alone decides its route.  ``SINGLE_MEMBER_METHOD`` names the
+    fastest route for one member built alone.  The ``MONIC_BERNOULLI`` routes, which no default uses, refuse
     n above MAX_MONIC_BERNOULLI_DEGREE with a ValueError.
     """
     if n < 0:

@@ -8,6 +8,10 @@ and the expansion driven by the beta family:
 
     arctan x = sum_{n>=0} beta_n(x)/(n+1)  *  x^(n+1) / (1+x^2)^(n+1).
 
+At x = p/q the summed terms come from their integer forms, stepped from the
+term before in ints or by a small rational ratio; ``series_term`` computes
+a term from its definition, and the tests compare the two.
+
 Since |beta_n(x)| <= (n+1)(1+x^2)^(n/2), the beta-expansion term is bounded
 by q^(n+1)/sqrt(1+x^2) with q = |x|/sqrt(1+x^2) < 1, so both series converge
 for every real x; convergence merely slows as |x| grows, and |x| > 4 is
@@ -18,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import count
 from math import comb, isfinite
 
 from .exact import format_rational
@@ -85,32 +90,29 @@ def series_term(kind: SeriesKind, n: int, x: Fraction) -> Fraction:
 
 
 def _term_stream(kind: SeriesKind, x: Fraction):
-    """Yield exact terms without recomputing shared factors from scratch."""
-    shell_step = 1 + x * x
-    shell = shell_step
+    """Yield exact terms from the integer forms that _check_size bounds, at
+    x = p/q with s = p^2+q^2.
+
+    Euler term n is 2^n n!/(2n+1)!! p^(2n+1) q / s^(n+1): from pq/s, each
+    step multiplies by 2(n+1) p^2 / ((2n+3) s), whose small factors are all
+    that can cancel, so no gcd runs over the full-size terms.  Beta term n
+    is Im((p+iq)^(n+1)) p^(n+1) / ((n+1) s^(n+1)), one Fraction of the
+    Gaussian power and the powers of p and s, each stepped as an int.
+    """
+    p, q = x.numerator, x.denominator
+    s = p * p + q * q
     if kind is SeriesKind.EULER:
-        factor = Fraction(1)
-        power = x
-        n = 0
-        while True:
-            yield factor * power / shell
-            # factor ratio: 4 (n+1)^2 / ((2n+2)(2n+3)) = 2(n+1)/(2n+3)
-            factor *= Fraction(2 * (n + 1), 2 * n + 3)
-            power *= x * x
-            shell *= shell_step
-            n += 1
-    else:
-        b_prev, b_cur = Fraction(1), 2 * x
-        power = x
-        n = 0
-        while True:
-            b_n = b_prev if n == 0 else b_cur
-            yield b_n * power / ((n + 1) * shell)
-            if n >= 1:
-                b_prev, b_cur = b_cur, 2 * x * b_cur - shell_step * b_prev
-            power *= x
-            shell *= shell_step
-            n += 1
+        term = Fraction(p * q, s)
+        for n in count():
+            yield term
+            term *= Fraction(2 * (n + 1) * p * p, (2 * n + 3) * s)
+    # at m = n+1: re + i im = (p+iq)^m, p_pow = p^m, s_pow = s^m
+    re, im, p_pow, s_pow = p, q, p, s
+    for m in count(1):
+        yield Fraction(im * p_pow, m * s_pow)
+        re, im = re * p - im * q, re * q + im * p
+        p_pow *= p
+        s_pow *= s
 
 
 def _check_size(name: str, terms: int, x: Fraction) -> None:

@@ -148,7 +148,9 @@ def test_fibonacci_and_lucas_commute_with_substitution(fn, method):
             assert fn(n, h, method) == fn(n, X, method).compose(h)
 
 
-@pytest.mark.parametrize("h", [X, 2 * X, Polynomial((1, 0, 1))])
+@pytest.mark.parametrize(
+    "h", [X, 2 * X, Polynomial((1, 0, 1)), Polynomial((Fraction(1, 3), 2))]
+)
 def test_closed_forms_match_recurrences(h):
     for n in range(1, 13):
         assert fibonacci_poly(n, h, FibonacciMethod.CLOSED_FORM) == fibonacci_poly(
@@ -189,14 +191,30 @@ def test_matching_methods_agree():
         assert built[0] == built[1] == built[2]
 
 
+def test_matching_polynomials_follow_the_minus_one_fibonacci_recurrence():
+    # mu(P_n) = F_(n+1)(x, -1) and mu(C_n) = L_n(x, -1) both step
+    # W_(k+1) = x W_k - W_(k-1): from W_0 = mu(P_0) = 1, W_1 = mu(P_1) = x for
+    # paths, from L_0 = 2, L_1 = x for cycles; checked against enumeration
+    seeds = ((GraphFamily.PATH, 1, Polynomial.one()), (GraphFamily.CYCLE, 3, Polynomial((2,))))
+    for family, start, w0 in seeds:
+        members = [w0, X]
+        while len(members) < 15:
+            members.append(X * members[-1] - members[-2])
+        for n in range(start, 15):
+            assert members[n] == matching_poly(GraphKind(family, n), MatchingMethod.ENUMERATION)
+
+
 def test_matching_size_limit():
     big = GraphKind(GraphFamily.PATH, ENUMERATION_LIMIT + 1)
     with pytest.raises(SizeLimitError):
         matching_poly(big, MatchingMethod.ENUMERATION)
     # the closed forms keep working past the enumeration cap
-    assert matching_poly(big, MatchingMethod.CLOSED_FORM) == matching_poly(
-        big, MatchingMethod.CHEBYSHEV_TRANSFORM
-    )
+    for family in GraphFamily:
+        for n in (17, 64, 301):
+            graph = GraphKind(family, n)
+            closed = matching_poly(graph, MatchingMethod.CLOSED_FORM)
+            assert closed == matching_poly(graph, MatchingMethod.CHEBYSHEV_TRANSFORM)
+            assert closed.degree == n and closed.leading_coefficient == 1
 
 
 def test_graph_kind_validation():

@@ -42,7 +42,10 @@ def test_partial_sum_rows_are_cumulative_and_match_terms():
 
 
 @pytest.mark.parametrize("kind", list(SeriesKind))
-@pytest.mark.parametrize("x", [Fraction(1), Fraction(1, 2), Fraction(3)])
+@pytest.mark.parametrize(
+    "x",
+    [Fraction(1), Fraction(1, 2), Fraction(3), Fraction(0), Fraction(-3, 7), Fraction(9, 2)],
+)
 def test_partial_sums_stay_exact_past_500_terms(kind, x):
     report = partial_sum(kind, x, 600)
     acc = Fraction(0)
