@@ -47,8 +47,9 @@ class PoleError(ValueError):
 # through ``arctanpoly deriv`` on a 2-vCPU host, interpreter start included.
 MAX_RESULT_BITS = 2**19
 
-# Largest degree whose root set ``roots`` computes.  It builds the recurrence
-# prefix up to n and certifies about n/2 nodes of degree n at
+# Largest degree whose root set ``roots`` computes.  It builds beta's
+# recurrence prefix up to n (alpha_n is one subtraction of its last two
+# members) and certifies about n/2 nodes of degree n at
 # node_precision(n) bits, so its time grows faster than n^2;
 # ``arctanpoly roots --kind alpha --n 1000`` takes about 2 s on a 2-vCPU host.
 MAX_ROOT_DEGREE = 1000
@@ -181,7 +182,9 @@ def roots(kind: SequenceKind, n: int) -> RootSet:
 
     beta_n vanishes at cot(k*pi/(n+1)) and alpha_n at cot((2k-1)*pi/(2n)),
     k = 1..n; both lists are strictly decreasing in k.  The nodes and their
-    certificates are computed at ``node_precision(n)`` bits.  Raises
+    certificates are computed at ``node_precision(n)`` bits.  The polynomial
+    is the family's default build: beta_n from beta's recurrence prefix, and
+    alpha_n from the same prefix by the interchange relation.  Raises
     ValueError for n < 1 and n > MAX_ROOT_DEGREE.
 
     Only the records with 2k <= n+1 call ``cot_node`` and are certified;

@@ -16,6 +16,7 @@ from .chebyshev import alpha_from_chebyshev, beta_from_chebyshev
 from .exact import GaussianInt, gaussian_pow
 from .families import (
     MAX_MONIC_BERNOULLI_DEGREE,
+    BuildMethod,
     SequenceKind,
     build_sequence,
     cross_validate,
@@ -46,7 +47,11 @@ def _row(suite, check, n, passed, detail=""):
 def suite_identities(max_n: int) -> list[CheckRow]:
     rows = []
     betas = build_sequence(SequenceKind.BETA, max_n + 1)
-    alphas = build_sequence(SequenceKind.ALPHA, max_n + 1)
+    # alpha by its own recurrence: the default route builds alpha from these
+    # betas by the interchange relation, on which interchange[beta-from-alpha]
+    # would restate beta's recurrence and could not fail.  That relation is
+    # the cross suite's alpha[recurrence==interchange] row.
+    alphas = build_sequence(SequenceKind.ALPHA, max_n + 1, BuildMethod.RECURRENCE)
     x_poly = Polynomial.x()
     one_plus_sq = Polynomial((1, 0, 1))
     shells = [Polynomial.one()]  # (1+x^2)^j
@@ -85,14 +90,6 @@ def suite_identities(max_n: int) -> list[CheckRow]:
                     "derivative[alpha]",
                     n,
                     alpha_n.differentiate() == n * alphas[n - 1],
-                )
-            )
-            rows.append(
-                _row(
-                    "identities",
-                    "interchange[alpha-from-beta]",
-                    n,
-                    alpha_n == beta_n - x_poly * betas[n - 1],
                 )
             )
             rows.append(
@@ -247,10 +244,12 @@ def suite_connections(max_n: int) -> list[CheckRow]:
         rows.append(_row("connections", "tan-multiple-spot", n, wrong is None, detail))
 
     betas = build_sequence(SequenceKind.BETA, min(max_n, 30))
-    alphas = build_sequence(SequenceKind.ALPHA, min(max_n, 30))
+    # alpha by its own recurrence, as in the identities suite: on alphas built
+    # from these betas the row below is beta's recurrence and could not fail
+    alphas = build_sequence(SequenceKind.ALPHA, min(max_n, 30), BuildMethod.RECURRENCE)
     one_plus_sq = Polynomial((1, 0, 1))
-    # the odd-n form, beta_n - x beta_{n-1} == alpha_n, is the identities
-    # suite's interchange[alpha-from-beta] row
+    # the odd-n form, beta_n - x beta_{n-1} == alpha_n, is the cross suite's
+    # alpha[recurrence==interchange] row
     for n in range(2, min(max_n, 30) + 1, 2):
         # x - (1+x^2) alpha_{n-1}/alpha_n  ==  -beta_{n-1}/alpha_n
         ok = x * alphas[n] - one_plus_sq * alphas[n - 1] == -betas[n - 1]

@@ -99,6 +99,11 @@ class TanRatio:
 
 
 def tan_multiple(n: int) -> TanRatio:
+    """tan(n * arctan x) from the default builds of alpha_n and beta_{n-1}.
+
+    Both read beta's recurrence prefix, alpha_n = beta_n - x beta_{n-1} by
+    the interchange relation, so one prefix up to n serves the ratio.
+    """
     if n < 1:
         raise ValueError("n must be positive")
     alpha_n = families.build(SequenceKind.ALPHA, n)

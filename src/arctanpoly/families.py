@@ -11,8 +11,10 @@ Four families are materialized, all with exact coefficients:
 
 Each family is built by every route that computes something different: beta
 by the three-term recurrence, explicit binomial sums, complex powers and
-terminating hypergeometric sums; alpha by those four and the
-Bernoulli-weighted monic recurrence; P by n! times the signed beta row
+terminating hypergeometric sums; alpha by those four, the Bernoulli-weighted
+monic recurrence and the interchange relation alpha_n = beta_n - x beta_{n-1}
+(the imaginary part of (x+i)^(n+1) = (x+i)(x+i)^n) on beta's recurrence
+members; P by n! times the signed beta row
 ("explicit") and the paper's derivative recurrence
 P_{n+1} = (1+x^2) P_n' - 2(n+1) x P_n; pi by the three-term recurrence over
 n+1 and the monic Bernoulli recurrence.  ``cross_validate`` compares each
@@ -28,7 +30,11 @@ two binomial routes share no arithmetic.  beta_n and alpha_n carry
 coefficients only on x^(n-2k), k = 0..n//2: the three-term recurrence steps
 on these half forms, the lists of the n//2 + 1 coefficients, and the
 recurrence and binomial routes lay each member out as its full coefficient
-list once, when it is built (``poly._spread``).  The generating functions are
+list once, when it is built (``poly._spread``).  alpha's default route is the
+interchange: member n is one subtraction of beta's cached members n and n-1
+and keeps no prefix of its own, so a session that asks for both families
+steps one recurrence and holds one prefix; alpha's own recurrence is built
+only for the routes that compare it.  The generating functions are
 checked against members built by a route other than the one each restates:
 the rational OGF (whose denominator is the three-term recurrence) against
 the explicit sums, the EGF (a binomial convolution) against the recurrence.
@@ -62,11 +68,15 @@ class BuildMethod(Enum):
     MONIC_BERNOULLI = "monic-bernoulli"
     HYPERGEOMETRIC = "hypergeometric"
     DERIVATIVE_RECURRENCE = "derivative-recurrence"
+    INTERCHANGE = "interchange"
 
 
+# The routes of every library caller that does not compare routes.  beta and
+# pi read their cached recurrence prefixes, and alpha reads beta's through
+# the interchange relation, so beta and alpha share one prefix.
 DEFAULT_METHOD: dict[SequenceKind, BuildMethod] = {
     SequenceKind.BETA: BuildMethod.RECURRENCE,
-    SequenceKind.ALPHA: BuildMethod.RECURRENCE,
+    SequenceKind.ALPHA: BuildMethod.INTERCHANGE,
     SequenceKind.P: BuildMethod.EXPLICIT,
     SequenceKind.MONIC_PI: BuildMethod.RECURRENCE,
 }
@@ -74,8 +84,9 @@ DEFAULT_METHOD: dict[SequenceKind, BuildMethod] = {
 # The route for one member built alone, as the one-shot ``poly`` command
 # does.  For beta and alpha the 2F1 term ratio gives member n in O(n) exact
 # steps and keeps no prefix, while the recurrence steps through and stores
-# every member before it.  DEFAULT_METHOD stays the cached recurrence
-# because growing library sessions reuse its prefix.  pi has no O(n) route,
+# every member before it (alpha's default reads beta's stored members
+# through the interchange).  DEFAULT_METHOD stays on these cached prefixes
+# because growing library sessions reuse them.  pi has no O(n) route,
 # so both tables give it the recurrence, quadratic where the Bernoulli
 # route is cubic.
 SINGLE_MEMBER_METHOD: dict[SequenceKind, BuildMethod] = {
@@ -179,7 +190,21 @@ def _alpha_ze_coeff(n: int, j: int, bracket=bracket) -> Fraction:
     return (2 ** (j + 1) - 1) * bracket(n, j)
 
 
-# Single members of the uncached routes, as raw coefficient lists.
+def _alpha_interchange(n: int) -> list:
+    """alpha_n = beta_n - x beta_(n-1), from beta's recurrence prefix.
+
+    The imaginary part of (x+i)^(n+1) = (x+i)(x+i)^n is beta_n = x beta_(n-1)
+    + alpha_n.  The route is named, so beta's default cannot move alpha's.
+    """
+    betas = build_sequence(SequenceKind.BETA, n, BuildMethod.RECURRENCE)
+    prev = betas[n - 1].coefficients if n else ()
+    return list(map(sub, betas[n].coefficients, (0, *prev)))
+
+
+# Single members of the routes that keep no prefix of their own, as
+# coefficient lists that are already canonical: every entry is an int and
+# the leading one is nonzero (for the interchange, (n+1) - n = 1), so each
+# list is laid out as it is.
 _MEMBERS: dict[tuple[SequenceKind, BuildMethod], Callable[[int], list]] = {
     # direct binomials, one math.comb call per coefficient
     (SequenceKind.BETA, BuildMethod.EXPLICIT): lambda n: _binomial_row(n, n + 1, 1),
@@ -191,6 +216,8 @@ _MEMBERS: dict[tuple[SequenceKind, BuildMethod], Callable[[int], list]] = {
     # the 2F1 term ratio, in integers
     (SequenceKind.BETA, BuildMethod.HYPERGEOMETRIC): lambda n: _signed_row(n, n + 1, 1),
     (SequenceKind.ALPHA, BuildMethod.HYPERGEOMETRIC): lambda n: _signed_row(n, n, 0),
+    # alpha from beta's cached members n and n-1
+    (SequenceKind.ALPHA, BuildMethod.INTERCHANGE): _alpha_interchange,
 }
 
 
@@ -339,7 +366,7 @@ def build_sequence(
     _check_pair(kind, method, n_max)
     key = (kind, method)
     if key in _MEMBERS:
-        return [_wrap(_MEMBERS[key](n)) for n in range(n_max + 1)]
+        return [Polynomial._raw(_MEMBERS[key](n)) for n in range(n_max + 1)]
     if key in _POWER_ROUTES:
         return [_wrap(raw) for raw in _power_members(key, 0, n_max + 1)]
     entry = _prefix_cache.get(key)
@@ -364,7 +391,8 @@ def build(kind: SequenceKind, n: int, method: BuildMethod | None = None) -> Poly
     The binomial routes build member n alone and the complex powers step to
     it without keeping the members before it; the recurrence-style methods
     read member n from the shared prefix cache, which steps forward from its
-    last cached member when n is new.  Without a method this uses
+    last cached member when n is new, and alpha's interchange reads beta's
+    recurrence prefix the same way.  Without a method this uses
     ``DEFAULT_METHOD``, the cached routes a growing session reuses; every
     library caller that does not compare routes leaves the method out, so
     this table alone decides its route.  ``SINGLE_MEMBER_METHOD`` names the
@@ -377,7 +405,7 @@ def build(kind: SequenceKind, n: int, method: BuildMethod | None = None) -> Poly
     _check_pair(kind, method, n)
     key = (kind, method)
     if key in _MEMBERS:
-        return _wrap(_MEMBERS[key](n))
+        return Polynomial._raw(_MEMBERS[key](n))
     if key in _POWER_ROUTES:
         return _wrap(next(_power_members(key, n, n + 1)))
     return build_sequence(kind, n, method)[n]

@@ -61,6 +61,27 @@ def test_poly_invalid_pair_exits_2(capsys):
     assert "monic-bernoulli" in err and "beta" in err
 
 
+@pytest.mark.parametrize("n", [0, 1, 9, 40])
+def test_poly_alpha_interchange_prints_what_every_alpha_route_prints(capsys, n):
+    printed = {}
+    for method in sorted(m.value for m in families.SUPPORTED_METHODS[SequenceKind.ALPHA]):
+        argv = ["poly", "--kind", "alpha", "--n", str(n), "--method", method, "--format", "json"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        printed[method] = json.loads(out)["coeffs"]
+    assert "interchange" in printed
+    assert all(coeffs == printed["interchange"] for coeffs in printed.values())
+
+
+def test_poly_beta_interchange_is_an_unsupported_pair(capsys):
+    code, out, err = run_cli(
+        capsys, "poly", "--kind", "beta", "--n", "3", "--method", "interchange"
+    )
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "interchange" in lines[0]
+
+
 @pytest.mark.parametrize("method", ["determinant", "matrix-power"])
 def test_poly_removed_method_is_a_usage_error(capsys, method):
     with pytest.raises(SystemExit) as exc:
@@ -415,6 +436,23 @@ def test_verify_rows_are_one_per_fact():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     stated = re.search(r"`verify --suite all --max-n 150`\s+runs ([\d,]+) rows", readme)
     assert int(stated.group(1).replace(",", "")) == len(checks.run_suite("all", 150))
+
+
+def test_suites_read_alpha_by_its_own_recurrence(monkeypatch):
+    # on interchange-built alphas, interchange[beta-from-alpha] and
+    # tan-alternative-form restate beta's recurrence and could not fail
+    methods = []
+    real = checks.build_sequence
+
+    def spy(kind, n_max, method=None):
+        if kind is SequenceKind.ALPHA:
+            methods.append(method)
+        return real(kind, n_max, method)
+
+    monkeypatch.setattr(checks, "build_sequence", spy)
+    rows = checks.suite_identities(6) + checks.suite_connections(6)
+    assert {"interchange[beta-from-alpha]", "tan-alternative-form"} <= {r.check for r in rows}
+    assert methods == [BuildMethod.RECURRENCE, BuildMethod.RECURRENCE]
 
 
 def test_verify_is_deterministic(capsys):

@@ -79,10 +79,55 @@ def test_supported_methods_are_the_routes_that_compute_something_different():
             BuildMethod.COMPLEX_POWER,
             BuildMethod.MONIC_BERNOULLI,
             BuildMethod.HYPERGEOMETRIC,
+            BuildMethod.INTERCHANGE,
         },
         SequenceKind.P: {BuildMethod.EXPLICIT, BuildMethod.DERIVATIVE_RECURRENCE},
         SequenceKind.MONIC_PI: {BuildMethod.RECURRENCE, BuildMethod.MONIC_BERNOULLI},
     }
+
+
+def test_alpha_default_reads_the_beta_prefix_and_caches_no_alpha_prefix(monkeypatch):
+    from arctanpoly.connections import tan_multiple
+
+    assert fam.DEFAULT_METHOD[SequenceKind.ALPHA] is BuildMethod.INTERCHANGE
+    monkeypatch.setattr(fam, "_prefix_cache", {})
+    beta_key = (SequenceKind.BETA, BuildMethod.RECURRENCE)
+    n = 60
+    build(SequenceKind.BETA, n)
+    alpha = build(SequenceKind.ALPHA, n)
+    ratio = tan_multiple(n)
+    assert list(fam._prefix_cache) == [beta_key]
+    assert len(fam._prefix_cache[beta_key][0]) == n + 1  # read, not grown
+    assert alpha == ratio.denominator == build(SequenceKind.ALPHA, n, BuildMethod.EXPLICIT)
+
+
+def test_interchange_route_matches_the_alpha_recurrence_past_the_cross_rows():
+    # verify's cross rows stop at --max-n 150
+    interchange = build_sequence(SequenceKind.ALPHA, 400, BuildMethod.INTERCHANGE)
+    assert interchange == build_sequence(SequenceKind.ALPHA, 400, BuildMethod.RECURRENCE)
+    for n, p in enumerate(interchange):
+        assert p.degree == n and p.leading_coefficient == 1
+        assert all(type(c) is int for c in p.coefficients)
+    assert build(SequenceKind.ALPHA, 400, BuildMethod.INTERCHANGE) == interchange[400]
+
+
+def test_cross_validate_reports_a_perturbed_interchange_member(monkeypatch):
+    from arctanpoly.cli import main
+
+    def perturbed(n):
+        raw = fam._alpha_interchange(n)
+        if n == 7:
+            raw[3] += 1
+        return raw
+
+    monkeypatch.setitem(fam._MEMBERS, (SequenceKind.ALPHA, BuildMethod.INTERCHANGE), perturbed)
+    report = cross_validate(SequenceKind.ALPHA, 10)
+    assert report.failure == (7, BuildMethod.RECURRENCE, BuildMethod.INTERCHANGE, False)
+    # alpha_7 = x^7 - 21x^5 + 35x^3 - 7x
+    assert report.detail == (
+        "first difference at x^3: recurrence gives 35, interchange gives 36"
+    )
+    assert main(["verify", "--suite", "cross", "--max-n", "10"]) == 1
 
 
 def test_unsupported_pairs_raise():
