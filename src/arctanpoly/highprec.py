@@ -13,11 +13,14 @@ nothing per coefficient.
 
 Root certification evaluates one polynomial at many nodes.  ``prepare``
 rounds its exact coefficients to mpf once, at the working precision, and
-keeps them as signed (mantissa, exponent) integer pairs.  ``eval_poly`` then
-runs Horner as one plain integer loop that rounds after every multiply and
-every add exactly as mpmath's ``mpf_mul``/``mpf_add`` do (correctly, ties to
-even), so it returns the bits of Horner with the mpf operators and the
-per-coefficient conversion, without a library call per step.
+keeps them as signed (mantissa, exponent) integer pairs, split into the
+halves of p(x) = E(x^2) + x O(x^2).  ``eval_poly`` then runs Horner in
+t^2 over each nonempty half as one plain integer loop that rounds after
+every multiply and every add exactly as mpmath's ``mpf_mul``/``mpf_add`` do
+(correctly, ties to even), so it returns the bits of that scheme with the
+mpf operators and the per-coefficient conversion, without a library call
+per step.  The root sets' polynomials have the parity of their degree, so
+one half is empty and an evaluation at degree d takes d//2 + 1 steps.
 """
 from __future__ import annotations
 
@@ -47,9 +50,19 @@ def workprec(precision_bits: int):
 def node_precision(n: int) -> int:
     """Working precision, in bits, of the root test at the cot nodes of degree n.
 
-    Horner at t, with coefficients rounded once and u = 2^-p, errs by at most
-    gamma_(2n+1) S, where S = sum |c_k| |t|^k and gamma_m = m u / (1 - m u)
-    (Higham, Accuracy and Stability of Numerical Algorithms, 5.1).  At a node
+    ``eval_poly`` computes p(t) = E(y) + t O(y), with y = t*t rounded once,
+    by Horner in y over each half, with coefficients rounded once.  With
+    u = 2^-p and gamma_m = m u / (1 - m u), a result in which each term
+    c_k t^k meets at most m roundings errs by at most gamma_m S, where
+    S = sum |c_k| |t|^k (Higham, Accuracy and Stability of Numerical
+    Algorithms, 3.1 and 5.1).  Term k = 2j or 2j+1 of a half of degree D in
+    y meets one rounding of c_k, j of y, 2j+1 of Horner's multiplies and
+    adds (2D at j = D, whose coefficient starts the loop), one of the
+    multiply by t if k is odd, and one of the sum of the halves if neither
+    is empty: at most 3D + 3.  beta_n and alpha_n have the parity of n and
+    p' that of n-1, so one half is empty and the count is at most
+    3(d//2) + 2 at degree d, at most 2d + 1 for d >= 1: the bound of Horner
+    in x, gamma_(2n+1) S at degree n, still holds.  At a node
     t = cot(theta):
 
     - beta_n = Im((x+i)^(n+1)) and alpha_n = Re((x+i)^n), so
@@ -122,18 +135,36 @@ def nstr(x, digits: int) -> str:
 
 @dataclass(frozen=True)
 class PreparedPoly:
-    """An exact polynomial with its coefficients rounded to mpf once.
+    """An exact polynomial split into halves, its coefficients rounded to mpf once.
 
-    ``coeffs`` runs from the leading coefficient down, the order Horner
-    consumes them.  Each entry is the rounded value as a signed
-    ``(mantissa, exponent)`` pair, ``mantissa * 2**exponent``, which is all
-    ``eval_poly``'s integer loop reads, or ``None`` for an exact zero.
-    ``prec`` is the precision the coefficients were rounded at, and the only
-    one ``eval_poly`` accepts them at.
+    The halves are p(x) = E(x^2) + x O(x^2): ``even`` holds E's coefficients
+    (those of x^0, x^2, ...) and ``odd`` O's (x^1, x^3, ...), each from the
+    leading coefficient down, the order Horner consumes them.  Each entry is
+    the rounded value as a signed ``(mantissa, exponent)`` pair,
+    ``mantissa * 2**exponent``, which is all ``eval_poly``'s integer loop
+    reads, or ``None`` for an exact zero.  A half starts at its first nonzero
+    coefficient, so a half whose coefficients are all zero is empty; beta_n,
+    alpha_n, charpoly(H_n) and their derivatives have the parity of their
+    degree, so one of their halves is.  ``prec`` is the precision the
+    coefficients were rounded at, and the only one ``eval_poly`` accepts
+    them at.
     """
 
     prec: int
-    coeffs: tuple
+    even: tuple
+    odd: tuple
+
+
+def _round_half(coefficients) -> tuple:
+    """One half's coefficients, listed from x^0 up, rounded and Horner-ordered."""
+    half = []
+    for c in reversed(coefficients):
+        if c:
+            sign, man, exp, _ = to_mpf(c)._mpf_
+            half.append((-man if sign else man, exp))
+        elif half:
+            half.append(None)
+    return tuple(half)
 
 
 def prepare(poly) -> PreparedPoly:
@@ -142,61 +173,25 @@ def prepare(poly) -> PreparedPoly:
     Zero coefficients stay exact zeros without a conversion.
     """
     mpmath = _mpmath or _load()
-    coeffs = []
-    for c in reversed(poly.coefficients):
-        if c:
-            sign, man, exp, _ = to_mpf(c)._mpf_
-            coeffs.append((-man if sign else man, exp))
-        else:
-            coeffs.append(None)
-    return PreparedPoly(mpmath.mp.prec, tuple(coeffs))
+    coefficients = poly.coefficients
+    return PreparedPoly(
+        mpmath.mp.prec, _round_half(coefficients[0::2]), _round_half(coefficients[1::2])
+    )
 
 
-def eval_poly(poly, t):
-    """Horner evaluation at a finite mpf point under the current precision.
+def _horner(coeffs, xm, xe, prec, m=0, e=0):
+    """Horner steps from the accumulator ``m * 2**e`` at the point ``xm * 2**xe``.
 
-    ``poly`` is an exact polynomial, prepared here on every call, or a
-    ``PreparedPoly`` from ``prepare`` at the same precision.  The result has
-    exactly the bits of Horner with mpmath's operators, ``acc * t + c`` at
-    every step, but runs as one integer loop over a signed mantissa ``m``
-    and an exponent ``e`` instead of a chain of ``mpf_mul``/``mpf_add``
-    calls.  Each of those calls returns its exact result correctly rounded
-    to the working precision, ties to even, and so does each step here:
-
-    - multiply: ``m *= xm; e += xe`` is exact;
-    - add: align the exponents and add the integers, which is exact;
-    - round: keep ``prec`` bits, ``q = (m + h) >> n`` with ``h`` half the
-      dropped unit, and step back to the even ``q`` on an exact tie.
-
-    Both addends carry at most ``prec + 1`` bits.  When their exponents lie
-    more than ``2 * prec + 2`` apart, the smaller one is under a quarter of
-    the larger one's rounding unit, so the rounded sum is the larger one and
-    the add is skipped; no shift grows past about twice the precision.
-    mpmath strips trailing zero bits from its mantissas, which changes the
-    representation and not the value.  So the loop walks through the same
-    values, and one ``from_man_exp`` at the end gives the same ``_mpf_``.
-
-    Adding an exact zero to an already rounded value leaves it unchanged, so
-    zero coefficients skip the add.  A zero point gives the constant
-    coefficient; an infinite or nan point raises ValueError.
+    Each step multiplies the accumulator by the point and adds the next entry
+    of ``coeffs``, a signed ``(mantissa, exponent)`` pair or ``None`` for an
+    exact zero, rounding after the multiply and after the add to ``prec``
+    bits exactly as mpmath's ``mpf_mul``/``mpf_add`` do.  Returns the last
+    accumulator as a ``(mantissa, exponent)`` pair.
     """
-    if not isinstance(poly, PreparedPoly):
-        poly = prepare(poly)
-    mpmath = _mpmath or _load()
-    prec = mpmath.mp.prec
-    if poly.prec != prec:
-        raise ValueError(f"polynomial prepared at {poly.prec} bits, evaluated at {prec}")
-    point = t if isinstance(t, mpmath.mpf) else mpmath.mpf(t)
-    sign, xm, xe, _ = point._mpf_
-    if not xm and xe:
-        raise ValueError(f"cannot evaluate a polynomial at the non-finite point {point}")
-    if sign:
-        xm = -xm
     far = 2 * prec + 2  # an exponent gap past which the smaller addend cannot count
-    m = e = 0
     # The rounding is written out after both steps: a call per step would
     # cost about as much as the step itself.
-    for c in poly.coeffs:
+    for c in coeffs:
         m *= xm
         e += xe
         n = m.bit_length() - prec
@@ -230,6 +225,70 @@ def eval_poly(poly, t):
                 q -= 1
             m = q
             e += n
+    return m, e
+
+
+_MULTIPLY = (None,)  # one Horner step with no coefficient: a rounded multiply
+
+
+def eval_poly(poly, t):
+    """Evaluate at a finite mpf point under the current precision, as E(t^2) + t O(t^2).
+
+    ``poly`` is an exact polynomial, prepared here on every call, or a
+    ``PreparedPoly`` from ``prepare`` at the same precision.  The result has
+    exactly the bits of this scheme with mpmath's operators:
+
+    - y = t * t, rounded once;
+    - Horner in y over each nonempty half, ``acc * y + c`` at every step;
+    - one multiply of O's value by t;
+    - only when both halves are nonempty, one add of the two values.
+
+    Each of those is a step of one integer loop over a signed mantissa ``m``
+    and an exponent ``e`` instead of a chain of ``mpf_mul``/``mpf_add``
+    calls: y and t O(y) are steps with no coefficient, and the last add is a
+    step at the point 1, whose multiply is exact.  Each mpmath call returns
+    its exact result correctly rounded to the working precision, ties to
+    even, and so does each step here:
+
+    - multiply: ``m *= xm; e += xe`` is exact;
+    - add: align the exponents and add the integers, which is exact;
+    - round: keep ``prec`` bits, ``q = (m + h) >> n`` with ``h`` half the
+      dropped unit, and step back to the even ``q`` on an exact tie.
+
+    Both addends carry at most ``prec + 1`` bits.  When their exponents lie
+    more than ``2 * prec + 2`` apart, the smaller one is under a quarter of
+    the larger one's rounding unit, so the rounded sum is the larger one and
+    the add is skipped; no shift grows past about twice the precision.
+    mpmath strips trailing zero bits from its mantissas, which changes the
+    representation and not the value.  So the loop walks through the same
+    values, and one ``from_man_exp`` at the end gives the same ``_mpf_``.
+
+    Adding an exact zero to an already rounded value leaves it unchanged, so
+    zero coefficients, and the sum with an empty half, skip the add.  A
+    polynomial of degree d with one empty half, as every parity polynomial
+    has, takes d//2 + 1 steps in y.  A zero point gives the constant
+    coefficient; an infinite or nan point raises ValueError.
+    """
+    if not isinstance(poly, PreparedPoly):
+        poly = prepare(poly)
+    mpmath = _mpmath or _load()
+    prec = mpmath.mp.prec
+    if poly.prec != prec:
+        raise ValueError(f"polynomial prepared at {poly.prec} bits, evaluated at {prec}")
+    point = t if isinstance(t, mpmath.mpf) else mpmath.mpf(t)
+    sign, xm, xe, _ = point._mpf_
+    if not xm and xe:
+        raise ValueError(f"cannot evaluate a polynomial at the non-finite point {point}")
+    if sign:
+        xm = -xm
+    ym, ye = _horner(_MULTIPLY, xm, xe, prec, xm, xe)
+    m = e = 0
+    if poly.odd:
+        m, e = _horner(poly.odd, ym, ye, prec)
+        m, e = _horner(_MULTIPLY, xm, xe, prec, m, e)
+    if poly.even:
+        even = _horner(poly.even, ym, ye, prec)
+        m, e = _horner((even,), 1, 0, prec, m, e) if poly.odd else even
     libmp = mpmath.libmp
     return mpmath.mp.make_mpf(libmp.from_man_exp(m, e, prec, libmp.round_nearest))
 

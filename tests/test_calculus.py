@@ -230,7 +230,7 @@ def test_roots_certify_up_to_50(kind):
         assert roots(kind, n).all_certified
 
 
-@pytest.mark.parametrize("n", [215, 216, 219, 220, 230, 400])
+@pytest.mark.parametrize("n", [215, 216, 219, 220, 230, 400, 600, 1000])
 @pytest.mark.parametrize("kind", [SequenceKind.BETA, SequenceKind.ALPHA])
 def test_roots_certify_where_128_bits_fall_short(kind, n):
     # at a fixed 128 bits Horner's rounding error outgrows the tolerance from n = 215
@@ -287,11 +287,15 @@ def test_roots_degree_cap_refuses_before_building(monkeypatch):
 
 
 def _reference_horner(poly, t):
-    # every coefficient converted again at every point, with the mpf operators
-    acc = mpmath.mpf(0)
-    for c in reversed(poly.coefficients):
-        acc = acc * t + to_mpf(Fraction(c))
-    return acc
+    # E(t^2) + t O(t^2), p's even and odd halves by Horner in y = t^2, with
+    # the mpf operators and every coefficient converted again at every point
+    y = t * t
+    even, odd = mpmath.mpf(0), mpmath.mpf(0)
+    for c in reversed(poly.coefficients[0::2]):
+        even = even * y + to_mpf(Fraction(c))
+    for c in reversed(poly.coefficients[1::2]):
+        odd = odd * y + to_mpf(Fraction(c))
+    return even + t * odd
 
 
 def _reference_check(poly, t, tolerance=1e-9):
@@ -331,17 +335,40 @@ def test_eval_poly_prepared_and_exact_agree_bit_for_bit():
         assert eval_poly(prepare(p), t)._mpf_ == expected
 
 
+@pytest.mark.parametrize("kind", [SequenceKind.BETA, SequenceKind.ALPHA])
+def test_prepared_parity_members_keep_one_half(kind):
+    # eval_poly's cost: a member or its derivative of degree d runs one
+    # Horner in t^2 over d//2 + 1 entries, none of them a skipped zero
+    members = build_sequence(kind, 150, BuildMethod.RECURRENCE)
+    with workprec(128):
+        for n in range(1, 151):
+            for p in (members[n], members[n].differentiate()):
+                prepared = prepare(p)
+                halves = (prepared.even, prepared.odd)
+                assert sorted(len(half) for half in halves) == [0, p.degree // 2 + 1], n
+                assert (prepared.odd if p.degree % 2 else prepared.even), n
+                assert None not in prepared.even + prepared.odd, n
+        dense = prepare(Polynomial((1, 2, 3)))
+    assert dense.even == ((3, 0), (1, 0)) and dense.odd == ((1, 1),)
+
+
 def _mpf_chain(coeffs, t):
-    # Horner on raw mpf tuples with mpmath's own rounded operations, the bits
-    # eval_poly must give; coefficients converted once, as prepare does
+    # E(t^2) + t O(t^2) on raw mpf tuples with mpmath's own rounded
+    # operations, the bits eval_poly must give; ``coeffs`` runs from x^0 up,
+    # converted once, as prepare does, with None for a zero
     prec = mpmath.mp.prec
     libmp = mpmath.libmp
-    acc = libmp.fzero
-    for c in coeffs:
-        acc = libmp.mpf_mul(acc, t, prec, libmp.round_nearest)
-        if c is not None:
-            acc = libmp.mpf_add(acc, c, prec, libmp.round_nearest)
-    return acc
+    y = libmp.mpf_mul(t, t, prec, libmp.round_nearest)
+    halves = []
+    for half in (coeffs[0::2], coeffs[1::2]):
+        acc = libmp.fzero
+        for c in reversed(half):
+            acc = libmp.mpf_mul(acc, y, prec, libmp.round_nearest)
+            if c is not None:
+                acc = libmp.mpf_add(acc, c, prec, libmp.round_nearest)
+        halves.append(acc)
+    odd = libmp.mpf_mul(t, halves[1], prec, libmp.round_nearest)
+    return libmp.mpf_add(halves[0], odd, prec, libmp.round_nearest)
 
 
 @pytest.mark.parametrize("precision", [1, 2, 3, 4, 53, 128])
@@ -356,7 +383,7 @@ def test_eval_poly_matches_mpf_operations_on_every_root_set(kind, precision):
                 nodes = {cot_node(2 * k - 1, 2 * n)._mpf_ for k in range(1, n + 1)}
             for p in (members[n], members[n].differentiate()):
                 prepared = prepare(p)
-                coeffs = [to_mpf(c)._mpf_ if c else None for c in reversed(p.coefficients)]
+                coeffs = [to_mpf(c)._mpf_ if c else None for c in p.coefficients]
                 for node in nodes:
                     got = eval_poly(prepared, mpmath.mp.make_mpf(node))._mpf_
                     assert got == _mpf_chain(coeffs, node), (n, node)
@@ -437,6 +464,32 @@ def test_ode_residuals_vanish():
     for n in range(60):
         assert not ode_residual(SequenceKind.BETA, n)
         assert not ode_residual(SequenceKind.ALPHA, n)
+
+
+def _ode_by_products(kind, n, p):
+    # the ODE written with polynomial products, as the docstring states it
+    m = n if kind is SequenceKind.BETA else n - 1
+    dp = p.differentiate()
+    return Polynomial((1, 0, 1)) * dp.differentiate() - (2 * m) * (Polynomial.x() * dp) + (m * (m + 1)) * p
+
+
+@pytest.mark.parametrize("kind", [SequenceKind.BETA, SequenceKind.ALPHA])
+def test_ode_residual_equals_the_product_form_on_perturbed_members(kind, monkeypatch):
+    # one perturbed coefficient, on either parity, must leave the same
+    # residual in the one-pass coefficients as in the products
+    for n in range(80):
+        p = build(kind, n, BuildMethod.RECURRENCE)
+        assert ode_residual(kind, n) == _ode_by_products(kind, n, p) == Polynomial.zero(), n
+        for j in sorted({0, n // 3, n - 1, n} - {-1}):
+            coeffs = list(p.coefficients)
+            coeffs[j] += 1 + j
+            bent = Polynomial(coeffs)
+            monkeypatch.setattr(families, "build", lambda *args, bent=bent: bent)
+            residual = ode_residual(kind, n)
+            monkeypatch.undo()
+            assert residual == _ode_by_products(kind, n, bent), (n, j)
+            # only a perturbed 1 or x can still solve an ODE with m <= 1
+            assert residual or j <= 1, (n, j)
 
 
 def test_derivative_identity_examples():

@@ -137,11 +137,15 @@ def test_eigen_check_compares_charpoly_with_the_monic_reference(monkeypatch):
 
 
 def _reference_horner(poly, t):
-    # every coefficient converted again at every point, with the mpf operators
-    acc = mpmath.mpf(0)
-    for c in reversed(poly.coefficients):
-        acc = acc * t + to_mpf(Fraction(c))
-    return acc
+    # E(t^2) + t O(t^2), p's even and odd halves by Horner in y = t^2, with
+    # the mpf operators and every coefficient converted again at every point
+    y = t * t
+    even, odd = mpmath.mpf(0), mpmath.mpf(0)
+    for c in reversed(poly.coefficients[0::2]):
+        even = even * y + to_mpf(Fraction(c))
+    for c in reversed(poly.coefficients[1::2]):
+        odd = odd * y + to_mpf(Fraction(c))
+    return even + t * odd
 
 
 @pytest.mark.parametrize("precision", [1, 2, 3, 4, 53, 128])
