@@ -12,7 +12,6 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from operator import mul
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
 
@@ -65,15 +64,15 @@ class GaussianInt:
 GAUSSIAN_ONE = GaussianInt(1, 0)
 
 
-def binary_pow(base, n: int, one, product=mul):
-    """base**n under ``product`` with identity ``one``, by binary powering, n >= 0."""
+def binary_pow(base, n: int, one):
+    """base**n with identity ``one``, by binary powering, n >= 0."""
     result, square = one, base
     while n:
         if n & 1:
-            result = product(result, square)
+            result = result * square
         n >>= 1
         if n:
-            square = product(square, square)
+            square = square * square
     return result
 
 

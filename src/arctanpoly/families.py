@@ -16,11 +16,12 @@ monic recurrence and the interchange relation alpha_n = beta_n - x beta_{n-1}
 (the imaginary part of (x+i)^(n+1) = (x+i)(x+i)^n) on beta's recurrence
 members; P by n! times the signed beta row
 ("explicit") and the paper's derivative recurrence
-P_{n+1} = (1+x^2) P_n' - 2(n+1) x P_n; pi by the three-term recurrence over
-n+1 and the monic Bernoulli recurrence.  ``cross_validate`` compares each
-route, coefficient by coefficient, with the family's first route in
-``BuildMethod`` order (the recurrence, or for P the explicit row); equality
-is transitive, so this is the evidence of comparing every pair.  Two
+P_{n+1} = (1+x^2) P_n' - 2(n+1) x P_n; pi by the quotient beta_n/(n+1) of
+beta's recurrence members and the monic Bernoulli recurrence.
+``cross_validate`` compares each route, coefficient by coefficient, with the
+family's first route in ``BuildMethod`` order (the recurrence, or for P the
+explicit row); equality is transitive, so this is the evidence of comparing
+every pair.  Two
 constructions only rescale a route here and are left out: the P recurrence
 divided by (-1)^(n+1) (n+1)! is beta_{n+1} = 2x beta_n - (1+x^2) beta_n' /
 (n+1), and the complex power of P is (-1)^n n! times beta's.  For beta and
@@ -32,9 +33,10 @@ on these half forms, the lists of the n//2 + 1 coefficients, and the
 recurrence and binomial routes lay each member out as its full coefficient
 list once, when it is built (``poly._spread``).  alpha's default route is the
 interchange: member n is one subtraction of beta's cached members n and n-1
-and keeps no prefix of its own, so a session that asks for both families
-steps one recurrence and holds one prefix; alpha's own recurrence is built
-only for the routes that compare it.  The generating functions are
+and keeps no prefix of its own, and pi's recurrence route divides beta's
+cached member n by n+1 the same way, so a session that asks for beta, alpha
+and pi steps one recurrence and holds one prefix; alpha's own recurrence is
+built only for the routes that compare it.  The generating functions are
 checked against members built by a route other than the one each restates:
 the rational OGF (whose denominator is the three-term recurrence) against
 the explicit sums, the EGF (a binomial convolution) against the recurrence.
@@ -71,9 +73,9 @@ class BuildMethod(Enum):
     INTERCHANGE = "interchange"
 
 
-# The routes of every library caller that does not compare routes.  beta and
-# pi read their cached recurrence prefixes, and alpha reads beta's through
-# the interchange relation, so beta and alpha share one prefix.
+# The routes of every library caller that does not compare routes.  beta reads
+# its cached recurrence prefix, alpha reads it through the interchange
+# relation and pi as the quotient beta_n/(n+1), so the three share one prefix.
 DEFAULT_METHOD: dict[SequenceKind, BuildMethod] = {
     SequenceKind.BETA: BuildMethod.RECURRENCE,
     SequenceKind.ALPHA: BuildMethod.INTERCHANGE,
@@ -85,10 +87,10 @@ DEFAULT_METHOD: dict[SequenceKind, BuildMethod] = {
 # does.  For beta and alpha the 2F1 term ratio gives member n in O(n) exact
 # steps and keeps no prefix, while the recurrence steps through and stores
 # every member before it (alpha's default reads beta's stored members
-# through the interchange).  DEFAULT_METHOD stays on these cached prefixes
-# because growing library sessions reuse them.  pi has no O(n) route,
-# so both tables give it the recurrence, quadratic where the Bernoulli
-# route is cubic.
+# through the interchange).  DEFAULT_METHOD stays on this cached prefix
+# because growing library sessions reuse it.  pi has no O(n) route, so both
+# tables give it the quotient of beta's recurrence member, quadratic where
+# the Bernoulli route is cubic.
 SINGLE_MEMBER_METHOD: dict[SequenceKind, BuildMethod] = {
     SequenceKind.BETA: BuildMethod.HYPERGEOMETRIC,
     SequenceKind.ALPHA: BuildMethod.HYPERGEOMETRIC,
@@ -116,12 +118,6 @@ class UnsupportedPairError(ValueError):
 
 def _wrap(raw: list) -> Polynomial:
     return Polynomial._raw(_trim([_canon(c) for c in raw]))
-
-
-def _wrap_int(half: list, n: int) -> Polynomial:
-    # all-int forms are canonical already, and the leading coefficient of a
-    # three-term member is nonzero, so the spread form needs no trim
-    return Polynomial._raw(_spread(half, n))
 
 
 def _three_term_step(cur: list, prev: list) -> list:
@@ -201,10 +197,20 @@ def _alpha_interchange(n: int) -> list:
     return list(map(sub, betas[n].coefficients, (0, *prev)))
 
 
+def _pi_quotient(n: int) -> list:
+    """pi_n = beta_n/(n+1), from beta's recurrence prefix.
+
+    The route is named, so beta's default cannot move pi's.
+    """
+    beta = build_sequence(SequenceKind.BETA, n, BuildMethod.RECURRENCE)[n]
+    return [_canon(Fraction(c, n + 1)) if c else 0 for c in beta.coefficients]
+
+
 # Single members of the routes that keep no prefix of their own, as
-# coefficient lists that are already canonical: every entry is an int and
-# the leading one is nonzero (for the interchange, (n+1) - n = 1), so each
-# list is laid out as it is.
+# coefficient lists that are already canonical: each entry is an int, or for
+# pi a Fraction whose denominator is not 1, and the leading one is nonzero
+# (for the interchange, (n+1) - n = 1; for pi, 1), so each list is laid out
+# as it is.
 _MEMBERS: dict[tuple[SequenceKind, BuildMethod], Callable[[int], list]] = {
     # direct binomials, one math.comb call per coefficient
     (SequenceKind.BETA, BuildMethod.EXPLICIT): lambda n: _binomial_row(n, n + 1, 1),
@@ -216,8 +222,9 @@ _MEMBERS: dict[tuple[SequenceKind, BuildMethod], Callable[[int], list]] = {
     # the 2F1 term ratio, in integers
     (SequenceKind.BETA, BuildMethod.HYPERGEOMETRIC): lambda n: _signed_row(n, n + 1, 1),
     (SequenceKind.ALPHA, BuildMethod.HYPERGEOMETRIC): lambda n: _signed_row(n, n, 0),
-    # alpha from beta's cached members n and n-1
+    # alpha from beta's cached members n and n-1, pi from member n
     (SequenceKind.ALPHA, BuildMethod.INTERCHANGE): _alpha_interchange,
+    (SequenceKind.MONIC_PI, BuildMethod.RECURRENCE): _pi_quotient,
 }
 
 
@@ -240,20 +247,14 @@ def _complex_power(part: str, shift: int):
         )
 
 
-def _three_term(seed: tuple[list, list], wrap: Callable[[list, int], Polynomial]):
+def _three_term(prev: list, cur: list):
     """Members of the three-term recurrence from the half forms of members 0
-    and 1; ``wrap(half, n)`` turns the half form of member n into the
-    polynomial."""
-    prev, cur = seed
-    yield wrap(prev, 0)
+    and 1.  All-int forms are canonical already, and the leading coefficient
+    of a member is nonzero, so the spread form needs no trim."""
+    yield Polynomial._raw(prev)
     for n in count(1):
-        yield wrap(cur, n)
+        yield Polynomial._raw(_spread(cur, n))
         prev, cur = cur, _three_term_step(cur, prev)
-
-
-def _pi_quotient(half: list, n: int) -> Polynomial:
-    # pi_n as the quotient beta_n/(n+1) on top of the beta recurrence
-    return _wrap(_spread([Fraction(c, n + 1) for c in half], n))
 
 
 def _p_derivative():
@@ -310,9 +311,8 @@ _POWER_ROUTES: dict[tuple[SequenceKind, BuildMethod], tuple] = {
 
 # These yield polynomials into the prefix cache.
 _ROUTES: dict[tuple[SequenceKind, BuildMethod], tuple] = {
-    (SequenceKind.BETA, BuildMethod.RECURRENCE): (_three_term, ([1], [2]), _wrap_int),
-    (SequenceKind.ALPHA, BuildMethod.RECURRENCE): (_three_term, ([1], [1]), _wrap_int),
-    (SequenceKind.MONIC_PI, BuildMethod.RECURRENCE): (_three_term, ([1], [2]), _pi_quotient),
+    (SequenceKind.BETA, BuildMethod.RECURRENCE): (_three_term, [1], [2]),
+    (SequenceKind.ALPHA, BuildMethod.RECURRENCE): (_three_term, [1], [1]),
     (SequenceKind.MONIC_PI, BuildMethod.MONIC_BERNOULLI): (_monic_bernoulli, bracket),
     (SequenceKind.ALPHA, BuildMethod.MONIC_BERNOULLI): (_monic_bernoulli, _alpha_ze_coeff),
     (SequenceKind.P, BuildMethod.DERIVATIVE_RECURRENCE): (_p_derivative,),
@@ -391,13 +391,14 @@ def build(kind: SequenceKind, n: int, method: BuildMethod | None = None) -> Poly
     The binomial routes build member n alone and the complex powers step to
     it without keeping the members before it; the recurrence-style methods
     read member n from the shared prefix cache, which steps forward from its
-    last cached member when n is new, and alpha's interchange reads beta's
-    recurrence prefix the same way.  Without a method this uses
-    ``DEFAULT_METHOD``, the cached routes a growing session reuses; every
-    library caller that does not compare routes leaves the method out, so
-    this table alone decides its route.  ``SINGLE_MEMBER_METHOD`` names the
-    fastest route for one member built alone.  The ``MONIC_BERNOULLI`` routes, which no default uses, refuse
-    n above MAX_MONIC_BERNOULLI_DEGREE with a ValueError.
+    last cached member when n is new, and alpha's interchange and pi's
+    recurrence quotient read beta's recurrence prefix the same way.  Without
+    a method this uses ``DEFAULT_METHOD``, the cached routes a growing
+    session reuses; every library caller that does not compare routes leaves
+    the method out, so this table alone decides its route.
+    ``SINGLE_MEMBER_METHOD`` names the fastest route for one member built
+    alone.  The ``MONIC_BERNOULLI`` routes, which no default uses, refuse n
+    above MAX_MONIC_BERNOULLI_DEGREE with a ValueError.
     """
     if n < 0:
         raise ValueError("n must be non-negative")

@@ -103,6 +103,6 @@ def eigen_check(n: int) -> bool:
 
 
 def monic_reference(n: int) -> Polynomial:
-    """pi_n = beta_n/(n+1) from the three-term recurrence, which uses no
-    matrix and no bracket, for cross-checks."""
+    """pi_n = beta_n/(n+1), beta's three-term recurrence member over n+1,
+    which uses no matrix and no bracket, for cross-checks."""
     return families.build(SequenceKind.MONIC_PI, n, BuildMethod.RECURRENCE)

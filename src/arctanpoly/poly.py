@@ -106,13 +106,6 @@ class Polynomial:
     def x(cls) -> "Polynomial":
         return cls._raw([0, 1])
 
-    @classmethod
-    def monomial(cls, degree: int, coefficient=1) -> "Polynomial":
-        c = _canon(coefficient)
-        if c == 0:
-            return cls.zero()
-        return cls._raw([0] * degree + [c])
-
     @property
     def coefficients(self) -> tuple:
         return self._coeffs

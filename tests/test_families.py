@@ -130,6 +130,62 @@ def test_cross_validate_reports_a_perturbed_interchange_member(monkeypatch):
     assert main(["verify", "--suite", "cross", "--max-n", "10"]) == 1
 
 
+def test_pi_default_reads_the_beta_prefix_and_caches_no_pi_prefix(monkeypatch):
+    from arctanpoly import hessenberg
+
+    assert fam.DEFAULT_METHOD[SequenceKind.MONIC_PI] is BuildMethod.RECURRENCE
+    monkeypatch.setattr(fam, "_prefix_cache", {})
+    beta_key = (SequenceKind.BETA, BuildMethod.RECURRENCE)
+    n = 60
+    beta = build(SequenceKind.BETA, n)
+    pi = build(SequenceKind.MONIC_PI, n)
+    pis = build_sequence(SequenceKind.MONIC_PI, n)
+    reference = hessenberg.monic_reference(n)
+    assert list(fam._prefix_cache) == [beta_key]
+    assert len(fam._prefix_cache[beta_key][0]) == n + 1  # read, not grown
+    assert pi == pis[n] == reference == beta.scale(Fraction(1, n + 1))
+
+
+def test_cross_validate_reports_a_perturbed_pi_quotient_member(monkeypatch):
+    from arctanpoly.cli import main
+
+    def perturbed(n):
+        raw = fam._pi_quotient(n)
+        if n == 7:
+            raw[3] += 1
+        return raw
+
+    monkeypatch.setitem(fam._MEMBERS, (SequenceKind.MONIC_PI, BuildMethod.RECURRENCE), perturbed)
+    report = cross_validate(SequenceKind.MONIC_PI, 10)
+    assert report.failure == (7, BuildMethod.RECURRENCE, BuildMethod.MONIC_BERNOULLI, False)
+    # pi_7 = beta_7/8 = x^7 - 7x^5 + 7x^3 - x
+    assert report.detail == (
+        "first difference at x^3: recurrence gives 8, monic-bernoulli gives 7"
+    )
+    assert main(["verify", "--suite", "hessenberg", "--max-n", "10"]) == 1
+
+
+def test_a_beta_recurrence_fault_reaches_the_pi_cross_row(monkeypatch):
+    from arctanpoly.checks import suite_cross, suite_hessenberg
+
+    def perturbed():
+        for n, p in enumerate(fam._three_term([1], [2])):
+            yield p + Polynomial((0, 0, 0, 1)) if n == 7 else p
+
+    monkeypatch.setattr(fam, "_prefix_cache", {})
+    monkeypatch.setitem(fam._ROUTES, (SequenceKind.BETA, BuildMethod.RECURRENCE), (perturbed,))
+    report = cross_validate(SequenceKind.MONIC_PI, 10)
+    assert report.failure == (7, BuildMethod.RECURRENCE, BuildMethod.MONIC_BERNOULLI, False)
+    # beta_7 = 8x^7 - 56x^5 + 56x^3 - 8x, so the quotient's x^3 is 57/8
+    assert report.detail == (
+        "first difference at x^3: recurrence gives 57/8, monic-bernoulli gives 7"
+    )
+    failed = {row.check for row in suite_cross(10) if not row.passed and row.n == 7}
+    assert {"beta[recurrence==explicit]", "pi[recurrence==monic-bernoulli]"} <= failed
+    failed = [(row.check, row.n) for row in suite_hessenberg(10) if not row.passed]
+    assert failed == [("charpoly-is-monic-family", 7)]
+
+
 def test_unsupported_pairs_raise():
     with pytest.raises(UnsupportedPairError):
         build(SequenceKind.BETA, 3, BuildMethod.MONIC_BERNOULLI)
@@ -225,6 +281,33 @@ def test_no_stepped_route_is_an_alias_of_another():
         ]
         for i, a in enumerate(routes):
             assert all(a != b for b in routes[i + 1 :]), kind
+
+
+def test_no_two_stepped_routes_rescale_one_stepping():
+    # two routes that step the same generator from the same seeds differ at
+    # most by how they scale the members they hand out, so they are one
+    # route: the rescaled family belongs in _MEMBERS, as a reader of the
+    # other's members
+    routes = [*fam._POWER_ROUTES.items(), *fam._ROUTES.items()]
+    for i, ((ka, ma), (gen_a, *_)) in enumerate(routes):
+        for (kb, mb), (gen_b, *_) in routes[i + 1 :]:
+            if gen_a is gen_b:
+                a, b = build_sequence(ka, 10, ma), build_sequence(kb, 10, mb)
+                assert any(
+                    p.scale(q.leading_coefficient) != q.scale(p.leading_coefficient)
+                    for p, q in zip(a, b)
+                ), ((ka, ma), (kb, mb))
+
+
+def test_member_readers_hand_out_canonical_trimmed_lists():
+    # the Polynomial._raw contract: what Polynomial(raw) would store, with
+    # the same coefficient types and a nonzero leading entry
+    for key, member in fam._MEMBERS.items():
+        for n in range(41):
+            raw = member(n)
+            canonical = Polynomial(raw).coefficients
+            assert tuple(raw) == canonical and raw[-1] != 0, (key, n)
+            assert [type(c) for c in raw] == [type(c) for c in canonical], (key, n)
 
 
 def test_each_supported_pair_is_in_exactly_one_table():
@@ -479,20 +562,7 @@ def test_fraction_free_bernoulli_matches_fraction_loop(kind, coeff):
         assert [type(c) for c in a.coefficients] == [type(c) for c in b.coefficients]
 
 
-CACHED_METHODS = {
-    BuildMethod.RECURRENCE,
-    BuildMethod.MONIC_BERNOULLI,
-    BuildMethod.DERIVATIVE_RECURRENCE,
-}
-CACHED_PAIRS = [
-    (kind, method)
-    for kind in SequenceKind
-    for method in BuildMethod
-    if method in SUPPORTED_METHODS[kind] and method in CACHED_METHODS
-]
-
-
-@pytest.mark.parametrize("kind, method", CACHED_PAIRS)
+@pytest.mark.parametrize("kind, method", list(fam._ROUTES))
 def test_prefix_cache_only_appends(monkeypatch, kind, method):
     monkeypatch.setattr(fam, "_prefix_cache", {})
     cold = build_sequence(kind, 45, method)
