@@ -18,6 +18,7 @@ from .families import (
     MAX_MONIC_BERNOULLI_DEGREE,
     BuildMethod,
     SequenceKind,
+    _first_difference,
     build_sequence,
     cross_validate,
 )
@@ -44,6 +45,107 @@ def _row(suite, check, n, passed, detail=""):
     return CheckRow(suite, check, n, bool(passed), detail)
 
 
+def _half_form(p: Polynomial):
+    """(half, e) with p = x^e H(x^2): e = deg p mod 2, and half lists the
+    coefficients of H ascending in y = x^2.
+
+    None when p has a nonzero coefficient off its degree's parity or a
+    non-integer one; the point check of ``_turan_rows`` does not apply then.
+    """
+    coeffs = p.coefficients
+    if not coeffs:
+        return (), 0
+    e = (len(coeffs) - 1) % 2
+    if any(coeffs[1 - e :: 2]) or not {int}.issuperset(map(type, coeffs)):
+        return None
+    return coeffs[e::2], e
+
+
+def _pack(half, s: int) -> int:
+    """H(2^s) = sum_k half[k] 2^(s k), by Horner from the top coefficient."""
+    acc = 0
+    for h in reversed(half):
+        acc = (acc << s) + h
+    return acc
+
+
+def _turan_point(halves, max_n: int) -> int:
+    """The exponent S of the point y = 2^S at which the Turan rows are decided.
+
+    Row n asks whether G(y) = 0, where each member is x^e H(x^2), e its
+    degree mod 2, m = n for beta and n-1 for alpha, and
+
+        G(y) = y^e_n H_n^2 - y^((e_(n-1) + e_(n+1))/2) H_(n-1) H_(n+1) - (1+y)^m.
+
+    Let B be the largest bit length of a half-form coefficient and L the
+    longest half form.  A coefficient of either product is a sum of at most
+    L terms, each below 2^(2B) in magnitude, so the two products together
+    stay below 2L 2^(2B) <= 2^(2B + bitlen(L) + 1), and C(m, k) <= 2^max_n.
+    So every |g_k| < 2^(2B + bitlen(L) + 1) + 2^max_n <= 2^S for
+
+        S = max(2B + bitlen(L) + 1, max_n) + 1.
+
+    Lemma: if every |g_k| < 2^S and G(2^S) = 0, then G = 0.  Otherwise let
+    g_j be the lowest nonzero coefficient: G(2^S) = 2^(S j) (g_j + 2^S c)
+    for an integer c, so 2^S would divide g_j, and 0 < |g_j| < 2^S.
+    """
+    present = [half for half, _ in filter(None, halves)]
+    bits = max((max(map(abs, half), default=0).bit_length() for half in present), default=0)
+    length = max(map(len, present), default=0)
+    return max(2 * bits + length.bit_length() + 1, max_n) + 1
+
+
+def _turan_rows(betas: list, alphas: list) -> list[tuple[CheckRow, CheckRow]]:
+    """The turan[beta] and turan[alpha] rows, (beta_n^2 - beta_(n-1) beta_(n+1)
+    = (1+x^2)^n and alpha_n^2 - alpha_(n-1) alpha_(n+1) = (1+x^2)^(n-1)), for
+    n = 1 .. len(betas) - 2, listed by n - 1.
+
+    Each row is decided by one integer comparison at y = 2^S of
+    ``_turan_point``, whose lemma makes a pass there a proof.  The exponents
+    come from each member's own degree: when e_(n-1) + e_(n+1) is odd and both
+    factors are nonzero, their product is x times an even polynomial, which
+    no even polynomial equals.  A row that does not pass at the point, or
+    whose members have no half form, is decided by the polynomial products,
+    which also name its first differing coefficient.
+    """
+    max_n = len(betas) - 2
+    families = (("beta", betas, 0), ("alpha", alphas, 1))
+    halves = [[_half_form(p) for p in members] for _, members, _ in families]
+    s = _turan_point([h for column in halves for h in column], max_n)
+    columns = []
+    for (name, members, offset), column in zip(families, halves):
+        packs = [None if h is None else (_pack(h[0], s), h[1]) for h in column]
+        shell = (1 + (1 << s)) ** (1 - offset)  # (1+y)^m at y = 2^S, m = n - offset
+        rows = []
+        for n in range(1, max_n + 1):
+            passed = _turan_at_point(packs[n - 1], packs[n], packs[n + 1], shell, s)
+            detail = ""
+            if not passed:
+                passed, detail = _turan_by_products(name, members, n, n - offset)
+            rows.append(_row("identities", f"turan[{name}]", n, passed, detail))
+            shell += shell << s
+        columns.append(rows)
+    return list(zip(*columns))
+
+
+def _turan_at_point(before, member, after, shell: int, s: int) -> bool:
+    if before is None or member is None or after is None:
+        return False
+    (h_before, e_before), (h, e), (h_after, e_after) = before, member, after
+    if (e_before + e_after) % 2 and h_before and h_after:
+        return False
+    return (h * h << s * e) - (h_before * h_after << s * ((e_before + e_after) // 2)) == shell
+
+
+def _turan_by_products(name: str, members: list, n: int, m: int) -> tuple[bool, str]:
+    left = members[n] * members[n] - members[n - 1] * members[n + 1]
+    right = Polynomial((1, 0, 1)) ** m
+    if left == right:
+        return True, ""
+    label = f"{name}_{n}^2 - {name}_{n - 1} {name}_{n + 1}"
+    return False, _first_difference(label, left, f"(1+x^2)^{m}", right)
+
+
 def suite_identities(max_n: int) -> list[CheckRow]:
     rows = []
     betas = build_sequence(SequenceKind.BETA, max_n + 1)
@@ -52,11 +154,9 @@ def suite_identities(max_n: int) -> list[CheckRow]:
     # would restate beta's recurrence and could not fail.  That relation is
     # the cross suite's alpha[recurrence==interchange] row.
     alphas = build_sequence(SequenceKind.ALPHA, max_n + 1, BuildMethod.RECURRENCE)
-    x_poly = Polynomial.x()
-    one_plus_sq = Polynomial((1, 0, 1))
-    shells = [Polynomial.one()]  # (1+x^2)^j
-    for _ in range(max_n):
-        shells.append(shells[-1] * one_plus_sq)
+    x_one_plus_sq = Polynomial.x() * Polynomial((1, 0, 1))
+    sq_minus_one = Polynomial((-1, 0, 1))
+    turan = _turan_rows(betas, alphas)
 
     for n in range(max_n + 1):
         beta_n, alpha_n = betas[n], alphas[n]
@@ -97,14 +197,10 @@ def suite_identities(max_n: int) -> list[CheckRow]:
                     "identities",
                     "interchange[beta-from-alpha]",
                     n,
-                    beta_n
-                    == x_poly * one_plus_sq * alphas[n - 1] - Polynomial((-1, 0, 1)) * alpha_n,
+                    beta_n == x_one_plus_sq * alphas[n - 1] - sq_minus_one * alpha_n,
                 )
             )
-            turan_beta = beta_n * beta_n - betas[n - 1] * betas[n + 1] == shells[n]
-            turan_alpha = alpha_n * alpha_n - alphas[n - 1] * alphas[n + 1] == shells[n - 1]
-            rows.append(_row("identities", "turan[beta]", n, turan_beta))
-            rows.append(_row("identities", "turan[alpha]", n, turan_alpha))
+            rows.extend(turan[n - 1])
 
         rows.append(
             _row("identities", "chebyshev-bridge[beta]", n, beta_from_chebyshev(n) == beta_n)
@@ -259,7 +355,9 @@ def suite_connections(max_n: int) -> list[CheckRow]:
 
 def run_suite(name: str, max_n: int) -> list[CheckRow]:
     # both bounds before any suite runs: cross builds the monic-bernoulli
-    # members up to max-n, and identities grows as about max-n^3.3
+    # members up to max-n, and identities grows as about max-n^3.3 (in
+    # process on a shared 2-vCPU host: 0.37-0.47 s at max-n 200, 3.6-4.9 s
+    # at 400, more than half of it the Turan rows' integer products)
     if max_n < 0:
         raise ValueError(f"max-n must be non-negative, got {max_n}")
     if max_n > MAX_MONIC_BERNOULLI_DEGREE:

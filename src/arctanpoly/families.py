@@ -454,13 +454,13 @@ class CrossValidationReport:
         )
 
 
-def _first_difference(ma: BuildMethod, a: Polynomial, mb: BuildMethod, b: Polynomial) -> str:
+def _first_difference(label_a: str, a: Polynomial, label_b: str, b: Polynomial) -> str:
     k = 0
     while a.coefficient(k) == b.coefficient(k):
         k += 1
     return (
-        f"first difference at x^{k}: {ma.value} gives {format_rational(a.coefficient(k))}, "
-        f"{mb.value} gives {format_rational(b.coefficient(k))}"
+        f"first difference at x^{k}: {label_a} gives {format_rational(a.coefficient(k))}, "
+        f"{label_b} gives {format_rational(b.coefficient(k))}"
     )
 
 
@@ -484,7 +484,7 @@ def cross_validate(kind: SequenceKind, n_max: int) -> CrossValidationReport:
             equal = a == b
             rows.append((n, ma, mb, equal))
             if not equal:
-                detail = _first_difference(ma, a, mb, b)
+                detail = _first_difference(ma.value, a, mb.value, b)
                 return CrossValidationReport(kind, n_max, rows, detail)
     return CrossValidationReport(kind, n_max, rows)
 
