@@ -149,11 +149,10 @@ def _turan_by_products(name: str, members: list, n: int, m: int) -> tuple[bool, 
 def suite_identities(max_n: int) -> list[CheckRow]:
     rows = []
     betas = build_sequence(SequenceKind.BETA, max_n + 1)
-    # alpha by its own recurrence: the default route builds alpha from these
+    # alpha by its explicit sums: the recurrence route builds alpha from these
     # betas by the interchange relation, on which interchange[beta-from-alpha]
-    # would restate beta's recurrence and could not fail.  That relation is
-    # the cross suite's alpha[recurrence==interchange] row.
-    alphas = build_sequence(SequenceKind.ALPHA, max_n + 1, BuildMethod.RECURRENCE)
+    # would restate beta's recurrence and could not fail
+    alphas = build_sequence(SequenceKind.ALPHA, max_n + 1, BuildMethod.EXPLICIT)
     x_one_plus_sq = Polynomial.x() * Polynomial((1, 0, 1))
     sq_minus_one = Polynomial((-1, 0, 1))
     turan = _turan_rows(betas, alphas)
@@ -219,17 +218,8 @@ def suite_identities(max_n: int) -> list[CheckRow]:
 def suite_cross(max_n: int) -> list[CheckRow]:
     rows = []
     for kind in SequenceKind:
-        report = cross_validate(kind, max_n)
-        for n, ma, mb, equal in report.rows:
-            rows.append(
-                _row(
-                    "cross",
-                    f"{kind.value}[{ma.value}=={mb.value}]",
-                    n,
-                    equal,
-                    "" if equal else report.detail,
-                )
-            )
+        for n, ma, mb, equal, detail in cross_validate(kind, max_n).rows:
+            rows.append(_row("cross", f"{kind.value}[{ma.value}=={mb.value}]", n, equal, detail))
     return rows
 
 
@@ -340,12 +330,12 @@ def suite_connections(max_n: int) -> list[CheckRow]:
         rows.append(_row("connections", "tan-multiple-spot", n, wrong is None, detail))
 
     betas = build_sequence(SequenceKind.BETA, min(max_n, 30))
-    # alpha by its own recurrence, as in the identities suite: on alphas built
+    # alpha by its explicit sums, as in the identities suite: on alphas built
     # from these betas the row below is beta's recurrence and could not fail
-    alphas = build_sequence(SequenceKind.ALPHA, min(max_n, 30), BuildMethod.RECURRENCE)
+    alphas = build_sequence(SequenceKind.ALPHA, min(max_n, 30), BuildMethod.EXPLICIT)
     one_plus_sq = Polynomial((1, 0, 1))
-    # the odd-n form, beta_n - x beta_{n-1} == alpha_n, is the cross suite's
-    # alpha[recurrence==interchange] row
+    # the odd-n form, beta_n - x beta_{n-1} == alpha_n, is how alpha's
+    # recurrence route builds its members, which the cross suite compares
     for n in range(2, min(max_n, 30) + 1, 2):
         # x - (1+x^2) alpha_{n-1}/alpha_n  ==  -beta_{n-1}/alpha_n
         ok = x * alphas[n] - one_plus_sq * alphas[n - 1] == -betas[n - 1]
@@ -355,9 +345,9 @@ def suite_connections(max_n: int) -> list[CheckRow]:
 
 def run_suite(name: str, max_n: int) -> list[CheckRow]:
     # both bounds before any suite runs: cross builds the monic-bernoulli
-    # members up to max-n, and identities grows as about max-n^3.3 (in
-    # process on a shared 2-vCPU host: 0.37-0.47 s at max-n 200, 3.6-4.9 s
-    # at 400, more than half of it the Turan rows' integer products)
+    # members up to max-n, and identities grows as about max-n^3 (in
+    # process on a shared 2-vCPU host: 0.22-0.28 s at max-n 200, 2.1 s at
+    # 400, about 0.1 s and 1.75 s of it the Turan rows' products at one point)
     if max_n < 0:
         raise ValueError(f"max-n must be non-negative, got {max_n}")
     if max_n > MAX_MONIC_BERNOULLI_DEGREE:

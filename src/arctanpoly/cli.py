@@ -216,13 +216,15 @@ def _cmd_roots(args) -> int:
 
 
 def _cmd_connect(args) -> int:
+    fibonacci = args.what in ("fibonacci", "lucas")
+    if args.h is not None and not fibonacci:
+        raise ValueError(f"--h applies only to --what fibonacci and lucas, not {args.what}")
     if args.what == "tan":
         if args.method is not None:
             raise ValueError("--method does not apply to --what tan, which has one construction")
         ratio = connections.tan_multiple(args.n)
         print(f"({ratio.numerator.pretty()}) / ({ratio.denominator.pretty()})  [{ratio.parity} n]")
         return EXIT_OK
-    fibonacci = args.what in ("fibonacci", "lucas")
     methods = connections.FibonacciMethod if fibonacci else connections.MatchingMethod
     valid = [m.value for m in methods]
     if args.method and args.method not in valid:
@@ -231,7 +233,7 @@ def _cmd_connect(args) -> int:
             f"got {args.method!r}"
         )
     if fibonacci:
-        h = _parse_poly_arg(args.h)
+        h = Polynomial.x() if args.h is None else _parse_poly_arg(args.h)
         fn = connections.fibonacci_poly if args.what == "fibonacci" else connections.lucas_poly
         print(fn(args.n, h, methods(args.method or "recurrence")).pretty())
         return EXIT_OK
@@ -302,7 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["tan", "fibonacci", "lucas", "matching-path", "matching-cycle"],
     )
     p_connect.add_argument("--n", required=True, type=int)
-    p_connect.add_argument("--h", default="0,1", help="argument polynomial, ascending coefficients")
+    p_connect.add_argument(
+        "--h", help="argument polynomial of fibonacci and lucas, ascending coefficients; default x"
+    )
     p_connect.add_argument("--method", help="construction to use (delegate-specific)")
     p_connect.set_defaults(handler=_cmd_connect)
 

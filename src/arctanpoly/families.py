@@ -11,11 +11,11 @@ Four families are materialized, all with exact coefficients:
 
 Each family is built by every route that computes something different: beta
 by the three-term recurrence, explicit binomial sums, complex powers and
-terminating hypergeometric sums; alpha by those four, the Bernoulli-weighted
-monic recurrence and the interchange relation alpha_n = beta_n - x beta_{n-1}
-(the imaginary part of (x+i)^(n+1) = (x+i)(x+i)^n) on beta's recurrence
-members; P by n! times the signed beta row
-("explicit") and the paper's derivative recurrence
+terminating hypergeometric sums; alpha by those four and the
+Bernoulli-weighted monic recurrence, where its recurrence route is the
+interchange relation alpha_n = beta_n - x beta_{n-1} (the imaginary part of
+(x+i)^(n+1) = (x+i)(x+i)^n) on beta's recurrence members; P by n! times the
+signed beta row ("explicit") and the paper's derivative recurrence
 P_{n+1} = (1+x^2) P_n' - 2(n+1) x P_n; pi by the quotient beta_n/(n+1) of
 beta's recurrence members and the monic Bernoulli recurrence.
 ``cross_validate`` compares each route, coefficient by coefficient, with the
@@ -31,15 +31,15 @@ two binomial routes share no arithmetic.  beta_n and alpha_n carry
 coefficients only on x^(n-2k), k = 0..n//2: the three-term recurrence steps
 on these half forms, the lists of the n//2 + 1 coefficients, and the
 recurrence and binomial routes lay each member out as its full coefficient
-list once, when it is built (``poly._spread``).  alpha's default route is the
-interchange: member n is one subtraction of beta's cached members n and n-1
-and keeps no prefix of its own, and pi's recurrence route divides beta's
-cached member n by n+1 the same way, so a session that asks for beta, alpha
-and pi steps one recurrence and holds one prefix; alpha's own recurrence is
-built only for the routes that compare it.  The generating functions are
-checked against members built by a route other than the one each restates:
-the rational OGF (whose denominator is the three-term recurrence) against
-the explicit sums, the EGF (a binomial convolution) against the recurrence.
+list once, when it is built (``poly._spread``).  alpha's and pi's recurrence
+routes keep no prefix: alpha's member n is one subtraction of beta's cached
+members n and n-1 (stepping alpha's seeds would give these same differences,
+as the step is linear and free of n), and pi's divides member n by n+1, so
+the recurrence is stepped once and a session holds one prefix.  The
+generating functions are checked against members built by a route other
+than the one each restates: the rational OGF (whose denominator is the
+three-term recurrence) against the explicit sums, the EGF (a binomial
+convolution) against the recurrence.
 """
 from __future__ import annotations
 
@@ -70,7 +70,6 @@ class BuildMethod(Enum):
     MONIC_BERNOULLI = "monic-bernoulli"
     HYPERGEOMETRIC = "hypergeometric"
     DERIVATIVE_RECURRENCE = "derivative-recurrence"
-    INTERCHANGE = "interchange"
 
 
 # The routes of every library caller that does not compare routes.  beta reads
@@ -78,7 +77,7 @@ class BuildMethod(Enum):
 # relation and pi as the quotient beta_n/(n+1), so the three share one prefix.
 DEFAULT_METHOD: dict[SequenceKind, BuildMethod] = {
     SequenceKind.BETA: BuildMethod.RECURRENCE,
-    SequenceKind.ALPHA: BuildMethod.INTERCHANGE,
+    SequenceKind.ALPHA: BuildMethod.RECURRENCE,
     SequenceKind.P: BuildMethod.EXPLICIT,
     SequenceKind.MONIC_PI: BuildMethod.RECURRENCE,
 }
@@ -86,8 +85,8 @@ DEFAULT_METHOD: dict[SequenceKind, BuildMethod] = {
 # The route for one member built alone, as the one-shot ``poly`` command
 # does.  For beta and alpha the 2F1 term ratio gives member n in O(n) exact
 # steps and keeps no prefix, while the recurrence steps through and stores
-# every member before it (alpha's default reads beta's stored members
-# through the interchange).  DEFAULT_METHOD stays on this cached prefix
+# every member before it (alpha's and pi's recurrence routes read beta's
+# stored members).  DEFAULT_METHOD stays on this cached prefix
 # because growing library sessions reuse it.  pi has no O(n) route, so both
 # tables give it the quotient of beta's recurrence member, quadratic where
 # the Bernoulli route is cubic.
@@ -223,7 +222,7 @@ _MEMBERS: dict[tuple[SequenceKind, BuildMethod], Callable[[int], list]] = {
     (SequenceKind.BETA, BuildMethod.HYPERGEOMETRIC): lambda n: _signed_row(n, n + 1, 1),
     (SequenceKind.ALPHA, BuildMethod.HYPERGEOMETRIC): lambda n: _signed_row(n, n, 0),
     # alpha from beta's cached members n and n-1, pi from member n
-    (SequenceKind.ALPHA, BuildMethod.INTERCHANGE): _alpha_interchange,
+    (SequenceKind.ALPHA, BuildMethod.RECURRENCE): _alpha_interchange,
     (SequenceKind.MONIC_PI, BuildMethod.RECURRENCE): _pi_quotient,
 }
 
@@ -312,7 +311,6 @@ _POWER_ROUTES: dict[tuple[SequenceKind, BuildMethod], tuple] = {
 # These yield polynomials into the prefix cache.
 _ROUTES: dict[tuple[SequenceKind, BuildMethod], tuple] = {
     (SequenceKind.BETA, BuildMethod.RECURRENCE): (_three_term, [1], [2]),
-    (SequenceKind.ALPHA, BuildMethod.RECURRENCE): (_three_term, [1], [1]),
     (SequenceKind.MONIC_PI, BuildMethod.MONIC_BERNOULLI): (_monic_bernoulli, bracket),
     (SequenceKind.ALPHA, BuildMethod.MONIC_BERNOULLI): (_monic_bernoulli, _alpha_ze_coeff),
     (SequenceKind.P, BuildMethod.DERIVATIVE_RECURRENCE): (_p_derivative,),
@@ -391,8 +389,8 @@ def build(kind: SequenceKind, n: int, method: BuildMethod | None = None) -> Poly
     The binomial routes build member n alone and the complex powers step to
     it without keeping the members before it; the recurrence-style methods
     read member n from the shared prefix cache, which steps forward from its
-    last cached member when n is new, and alpha's interchange and pi's
-    recurrence quotient read beta's recurrence prefix the same way.  Without
+    last cached member when n is new, and alpha's and pi's recurrence
+    routes read beta's recurrence prefix the same way.  Without
     a method this uses ``DEFAULT_METHOD``, the cached routes a growing
     session reuses; every library caller that does not compare routes leaves
     the method out, so this table alone decides its route.
@@ -416,30 +414,30 @@ def build(kind: SequenceKind, n: int, method: BuildMethod | None = None) -> Poly
 # cross-validation
 # ---------------------------------------------------------------------------
 
+CrossRow = tuple[int, BuildMethod, BuildMethod, bool, str]
+
+
 @dataclass
 class CrossValidationReport:
     """Equality results of every supported method against the family's
     first method, which serves as the reference route.
 
-    ``detail`` names the first coefficient on which the failing pair
-    differs, and is empty when every pair agrees.
+    Each row is (n, reference, method, equal, detail); the detail of a
+    failing row names the first coefficient on which its pair differs, and
+    is empty when the pair agrees.
     """
 
     kind: SequenceKind
     n_max: int
-    rows: list[tuple[int, BuildMethod, BuildMethod, bool]]
-    detail: str = ""
+    rows: list[CrossRow]
 
     @property
     def passed(self) -> bool:
         return all(row[3] for row in self.rows)
 
     @property
-    def failure(self) -> tuple[int, BuildMethod, BuildMethod, bool] | None:
-        for row in self.rows:
-            if not row[3]:
-                return row
-        return None
+    def failure(self) -> CrossRow | None:
+        return next((row for row in self.rows if not row[3]), None)
 
     def summary(self) -> str:
         if self.passed:
@@ -447,10 +445,10 @@ class CrossValidationReport:
                 f"{self.kind.value}: {len(self.rows)} route checks up to "
                 f"n={self.n_max}, all equal"
             )
-        n, ma, mb, _ = self.failure
+        n, ma, mb, _, detail = self.failure
         return (
             f"{self.kind.value}: MISMATCH at n={n} between {ma.value} and {mb.value}: "
-            f"{self.detail}"
+            f"{detail}"
         )
 
 
@@ -468,24 +466,23 @@ def cross_validate(kind: SequenceKind, n_max: int) -> CrossValidationReport:
     """Compare every supported method with the first one, for members 0..n_max.
 
     Equality is transitive, so comparing each route with one reference
-    route is the same evidence as comparing every pair.  Stops at the first
-    mismatch and reports it rather than raising.
+    route is the same evidence as comparing every pair.  Every pair is
+    compared, so a mismatch hides no later row; it is reported rather than
+    raised.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     methods = [m for m in BuildMethod if m in SUPPORTED_METHODS[kind]]
     sequences = {m: build_sequence(kind, n_max, m) for m in methods}
     ma, *others = methods
-    rows: list[tuple[int, BuildMethod, BuildMethod, bool]] = []
+    rows: list[CrossRow] = []
     for n in range(n_max + 1):
         a = sequences[ma][n]
         for mb in others:
             b = sequences[mb][n]
             equal = a == b
-            rows.append((n, ma, mb, equal))
-            if not equal:
-                detail = _first_difference(ma.value, a, mb.value, b)
-                return CrossValidationReport(kind, n_max, rows, detail)
+            detail = "" if equal else _first_difference(ma.value, a, mb.value, b)
+            rows.append((n, ma, mb, equal, detail))
     return CrossValidationReport(kind, n_max, rows)
 
 

@@ -44,3 +44,12 @@ def test_build_sequence_keeps_its_n_max_parameter():
     from arctanpoly.families import build_sequence
 
     assert "n_max" in inspect.signature(build_sequence).parameters
+
+
+def test_every_cached_route_is_one_the_tracer_counts():
+    # the tracer counts prefix growths and cached calls only for the method
+    # values in its CACHED_METHODS; a cached route outside that set would
+    # leave the families.prefix_* metrics empty on a workload
+    from arctanpoly import families
+
+    assert {method.value for _, method in families._ROUTES} <= tracer.CACHED_METHODS

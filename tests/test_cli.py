@@ -16,6 +16,7 @@ from arctanpoly.cli import _decimal, main
 from arctanpoly.exact import format_rational
 from arctanpoly.families import BuildMethod, SequenceKind
 from arctanpoly.highprec import mpf_to_fraction, nstr, to_mpf, workprec
+from arctanpoly.poly import Polynomial
 
 
 def run_cli(capsys, *argv):
@@ -69,20 +70,12 @@ def test_poly_alpha_interchange_prints_what_every_alpha_route_prints(capsys, n):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         printed[method] = json.loads(out)["coeffs"]
-    assert "interchange" in printed
-    assert all(coeffs == printed["interchange"] for coeffs in printed.values())
+    # the recurrence route is the interchange on beta's recurrence members
+    assert "recurrence" in printed
+    assert all(coeffs == printed["recurrence"] for coeffs in printed.values())
 
 
-def test_poly_beta_interchange_is_an_unsupported_pair(capsys):
-    code, out, err = run_cli(
-        capsys, "poly", "--kind", "beta", "--n", "3", "--method", "interchange"
-    )
-    assert code == 2 and out == ""
-    lines = err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:") and "interchange" in lines[0]
-
-
-@pytest.mark.parametrize("method", ["determinant", "matrix-power"])
+@pytest.mark.parametrize("method", ["determinant", "matrix-power", "interchange"])
 def test_poly_removed_method_is_a_usage_error(capsys, method):
     with pytest.raises(SystemExit) as exc:
         main(["poly", "--kind", "beta", "--n", "3", "--method", method])
@@ -138,13 +131,17 @@ def test_poly_json_names_an_explicit_method(capsys):
 
 
 def test_poly_one_shot_route_leaves_the_prefix_caches_alone(capsys, monkeypatch):
-    keys = [(kind, BuildMethod.RECURRENCE) for kind in (SequenceKind.BETA, SequenceKind.ALPHA)]
-    for key in keys:  # an empty prefix, so an earlier test cannot have cached member 300
-        generator, *args = families._ROUTES[key]
-        monkeypatch.setitem(families._prefix_cache, key, ([], generator(*args)))
+    # beta's recurrence prefix is the one that alpha's and pi's recurrence
+    # routes read too
+    key = (SequenceKind.BETA, BuildMethod.RECURRENCE)
+    generator, *args = families._ROUTES[key]
+    # an empty prefix, so an earlier test cannot have cached member 300
+    monkeypatch.setitem(families._prefix_cache, key, ([], generator(*args)))
     code, out, _ = run_cli(capsys, "poly", "--kind", "beta", "--n", "300")
     assert code == 0 and out.startswith("301x^300 - ")
-    assert [len(families._prefix_cache[key][0]) for key in keys] == [0, 0]
+    code, out, _ = run_cli(capsys, "poly", "--kind", "alpha", "--n", "300")
+    assert code == 0 and out.startswith("x^300 - ")
+    assert len(families._prefix_cache[key][0]) == 0
 
 
 def test_poly_method_help_names_each_default(capsys):
@@ -438,8 +435,9 @@ def test_verify_rows_are_one_per_fact():
     assert int(stated.group(1).replace(",", "")) == len(checks.run_suite("all", 150))
 
 
-def test_suites_read_alpha_by_its_own_recurrence(monkeypatch):
-    # on interchange-built alphas, interchange[beta-from-alpha] and
+def test_suites_read_alpha_by_its_explicit_sums(monkeypatch):
+    # alpha's recurrence route is the interchange on beta's recurrence
+    # members; on those alphas, interchange[beta-from-alpha] and
     # tan-alternative-form restate beta's recurrence and could not fail
     methods = []
     real = checks.build_sequence
@@ -452,7 +450,53 @@ def test_suites_read_alpha_by_its_own_recurrence(monkeypatch):
     monkeypatch.setattr(checks, "build_sequence", spy)
     rows = checks.suite_identities(6) + checks.suite_connections(6)
     assert {"interchange[beta-from-alpha]", "tan-alternative-form"} <= {r.check for r in rows}
-    assert methods == [BuildMethod.RECURRENCE, BuildMethod.RECURRENCE]
+    assert methods == [BuildMethod.EXPLICIT, BuildMethod.EXPLICIT]
+
+
+def test_a_fault_in_the_explicit_alpha_fails_the_rows_that_read_it(monkeypatch):
+    key = (SequenceKind.ALPHA, BuildMethod.EXPLICIT)
+    explicit = families._MEMBERS[key]
+
+    def perturbed(n):
+        raw = explicit(n)
+        if n == 7:
+            raw[3] += 1  # alpha_7 = x^7 - 21x^5 + 35x^3 - 7x
+        return raw
+
+    monkeypatch.setitem(families._MEMBERS, key, perturbed)
+    rows = checks.suite_identities(10) + checks.suite_cross(10)
+    failed = {row.check for row in rows if not row.passed and row.n == 7}
+    assert {
+        "derivative[alpha]",
+        "turan[alpha]",
+        "chebyshev-bridge[alpha]",
+        "interchange[beta-from-alpha]",
+        "alpha[recurrence==explicit]",
+    } <= failed
+
+
+def test_a_cross_fault_hides_no_later_row(monkeypatch):
+    clean = [(row.suite, row.check, row.n) for row in checks.run_suite("all", 20)]
+
+    def perturbed():
+        for n, p in enumerate(families._three_term([1], [2])):
+            yield p + Polynomial((0, 0, 0, 0, 0, 1)) if n == 7 else p
+
+    monkeypatch.setattr(families, "_prefix_cache", {})
+    monkeypatch.setitem(
+        families._ROUTES, (SequenceKind.BETA, BuildMethod.RECURRENCE), (perturbed,)
+    )
+    rows = checks.run_suite("all", 20)
+    assert [(row.suite, row.check, row.n) for row in rows] == clean
+    failed = [row for row in rows if row.suite == "cross" and not row.passed]
+    # beta's recurrence route is every beta, alpha and pi cross row's reference
+    assert {(row.check, row.n) for row in failed} >= {
+        ("beta[recurrence==explicit]", 7),
+        ("beta[recurrence==hypergeometric]", 7),
+        ("alpha[recurrence==explicit]", 8),
+        ("pi[recurrence==monic-bernoulli]", 7),
+    }
+    assert all(row.detail.startswith("first difference at x^") for row in failed)
 
 
 def test_verify_is_deterministic(capsys):
@@ -622,6 +666,21 @@ def test_connect_fibonacci_with_argument(capsys):
     code, out, _ = run_cli(capsys, "connect", "--what", "fibonacci", "--n", "4", "--h", "0,1")
     assert code == 0
     assert out.strip() == "x^3 + 2x"
+
+
+@pytest.mark.parametrize("what, line", [("fibonacci", "x^3 + 2x"), ("lucas", "x^4 + 4x^2 + 2")])
+def test_connect_h_defaults_to_x(capsys, what, line):
+    assert run_cli(capsys, "connect", "--what", what, "--n", "4") == (0, line + "\n", "")
+
+
+@pytest.mark.parametrize(
+    "what, n", [("tan", "3"), ("matching-path", "3"), ("matching-cycle", "4")]
+)
+def test_connect_refuses_h_where_it_does_not_apply(capsys, what, n):
+    code, out, err = run_cli(capsys, "connect", "--what", what, "--n", n, "--h", "1,2")
+    assert (code, out) == (2, "")
+    expected = f"error: --h applies only to --what fibonacci and lucas, not {what}"
+    assert err.splitlines() == [expected]
 
 
 def test_connect_enumeration_cap_exits_2(capsys):

@@ -79,7 +79,6 @@ def test_supported_methods_are_the_routes_that_compute_something_different():
             BuildMethod.COMPLEX_POWER,
             BuildMethod.MONIC_BERNOULLI,
             BuildMethod.HYPERGEOMETRIC,
-            BuildMethod.INTERCHANGE,
         },
         SequenceKind.P: {BuildMethod.EXPLICIT, BuildMethod.DERIVATIVE_RECURRENCE},
         SequenceKind.MONIC_PI: {BuildMethod.RECURRENCE, BuildMethod.MONIC_BERNOULLI},
@@ -89,7 +88,7 @@ def test_supported_methods_are_the_routes_that_compute_something_different():
 def test_alpha_default_reads_the_beta_prefix_and_caches_no_alpha_prefix(monkeypatch):
     from arctanpoly.connections import tan_multiple
 
-    assert fam.DEFAULT_METHOD[SequenceKind.ALPHA] is BuildMethod.INTERCHANGE
+    assert fam.DEFAULT_METHOD[SequenceKind.ALPHA] is BuildMethod.RECURRENCE
     monkeypatch.setattr(fam, "_prefix_cache", {})
     beta_key = (SequenceKind.BETA, BuildMethod.RECURRENCE)
     n = 60
@@ -101,14 +100,23 @@ def test_alpha_default_reads_the_beta_prefix_and_caches_no_alpha_prefix(monkeypa
     assert alpha == ratio.denominator == build(SequenceKind.ALPHA, n, BuildMethod.EXPLICIT)
 
 
-def test_interchange_route_matches_the_alpha_recurrence_past_the_cross_rows():
+def test_alpha_recurrence_route_matches_the_hypergeometric_sums_past_the_cross_rows():
     # verify's cross rows stop at --max-n 150
-    interchange = build_sequence(SequenceKind.ALPHA, 400, BuildMethod.INTERCHANGE)
-    assert interchange == build_sequence(SequenceKind.ALPHA, 400, BuildMethod.RECURRENCE)
-    for n, p in enumerate(interchange):
+    recurrence = build_sequence(SequenceKind.ALPHA, 400, BuildMethod.RECURRENCE)
+    assert recurrence == build_sequence(SequenceKind.ALPHA, 400, BuildMethod.HYPERGEOMETRIC)
+    for n, p in enumerate(recurrence):
         assert p.degree == n and p.leading_coefficient == 1
         assert all(type(c) is int for c in p.coefficients)
-    assert build(SequenceKind.ALPHA, 400, BuildMethod.INTERCHANGE) == interchange[400]
+    assert build(SequenceKind.ALPHA, 400, BuildMethod.RECURRENCE) == recurrence[400]
+
+
+def test_the_three_term_recurrence_is_stepped_once():
+    # alpha's own stepping would be beta's step from other seeds, and the
+    # step is linear with coefficients free of n, so its members would be
+    # the differences alpha's recurrence route reads off beta's prefix
+    stepped = [key for key, (generator, *_) in fam._ROUTES.items() if generator is fam._three_term]
+    assert stepped == [(SequenceKind.BETA, BuildMethod.RECURRENCE)]
+    assert fam._MEMBERS[(SequenceKind.ALPHA, BuildMethod.RECURRENCE)] is fam._alpha_interchange
 
 
 def test_cross_validate_reports_a_perturbed_interchange_member(monkeypatch):
@@ -120,13 +128,15 @@ def test_cross_validate_reports_a_perturbed_interchange_member(monkeypatch):
             raw[3] += 1
         return raw
 
-    monkeypatch.setitem(fam._MEMBERS, (SequenceKind.ALPHA, BuildMethod.INTERCHANGE), perturbed)
+    monkeypatch.setitem(fam._MEMBERS, (SequenceKind.ALPHA, BuildMethod.RECURRENCE), perturbed)
     report = cross_validate(SequenceKind.ALPHA, 10)
-    assert report.failure == (7, BuildMethod.RECURRENCE, BuildMethod.INTERCHANGE, False)
-    # alpha_7 = x^7 - 21x^5 + 35x^3 - 7x
-    assert report.detail == (
-        "first difference at x^3: recurrence gives 35, interchange gives 36"
-    )
+    # alpha_7 = x^7 - 21x^5 + 35x^3 - 7x; the reference route is the faulty
+    # one, so every other route's row at n = 7 fails
+    others = [m for m in BuildMethod if m in SUPPORTED_METHODS[SequenceKind.ALPHA]][1:]
+    detail = "first difference at x^3: recurrence gives 36, {} gives 35"
+    assert [row for row in report.rows if not row[3]] == [
+        (7, BuildMethod.RECURRENCE, m, False, detail.format(m.value)) for m in others
+    ]
     assert main(["verify", "--suite", "cross", "--max-n", "10"]) == 1
 
 
@@ -157,10 +167,13 @@ def test_cross_validate_reports_a_perturbed_pi_quotient_member(monkeypatch):
 
     monkeypatch.setitem(fam._MEMBERS, (SequenceKind.MONIC_PI, BuildMethod.RECURRENCE), perturbed)
     report = cross_validate(SequenceKind.MONIC_PI, 10)
-    assert report.failure == (7, BuildMethod.RECURRENCE, BuildMethod.MONIC_BERNOULLI, False)
     # pi_7 = beta_7/8 = x^7 - 7x^5 + 7x^3 - x
-    assert report.detail == (
-        "first difference at x^3: recurrence gives 8, monic-bernoulli gives 7"
+    assert report.failure == (
+        7,
+        BuildMethod.RECURRENCE,
+        BuildMethod.MONIC_BERNOULLI,
+        False,
+        "first difference at x^3: recurrence gives 8, monic-bernoulli gives 7",
     )
     assert main(["verify", "--suite", "hessenberg", "--max-n", "10"]) == 1
 
@@ -175,10 +188,13 @@ def test_a_beta_recurrence_fault_reaches_the_pi_cross_row(monkeypatch):
     monkeypatch.setattr(fam, "_prefix_cache", {})
     monkeypatch.setitem(fam._ROUTES, (SequenceKind.BETA, BuildMethod.RECURRENCE), (perturbed,))
     report = cross_validate(SequenceKind.MONIC_PI, 10)
-    assert report.failure == (7, BuildMethod.RECURRENCE, BuildMethod.MONIC_BERNOULLI, False)
     # beta_7 = 8x^7 - 56x^5 + 56x^3 - 8x, so the quotient's x^3 is 57/8
-    assert report.detail == (
-        "first difference at x^3: recurrence gives 57/8, monic-bernoulli gives 7"
+    assert report.failure == (
+        7,
+        BuildMethod.RECURRENCE,
+        BuildMethod.MONIC_BERNOULLI,
+        False,
+        "first difference at x^3: recurrence gives 57/8, monic-bernoulli gives 7",
     )
     failed = {row.check for row in suite_cross(10) if not row.passed and row.n == 7}
     assert {"beta[recurrence==explicit]", "pi[recurrence==monic-bernoulli]"} <= failed
@@ -247,7 +263,7 @@ def test_cross_validation_compares_each_route_with_the_first():
         first, *others = [m for m in BuildMethod if m in SUPPORTED_METHODS[kind]]
         report = cross_validate(kind, 6)
         for n in range(7):
-            pairs = [(ma, mb) for m, ma, mb, _ in report.rows if m == n]
+            pairs = [(ma, mb) for m, ma, mb, *_ in report.rows if m == n]
             assert pairs == [(first, mb) for mb in others]
 
 
@@ -361,9 +377,8 @@ def test_cross_validation_names_the_first_differing_coefficient(monkeypatch):
     monkeypatch.setitem(fam._MEMBERS, (SequenceKind.BETA, BuildMethod.EXPLICIT), wrong_beta)
     report = cross_validate(SequenceKind.BETA, 5)
     assert not report.passed
-    assert report.failure == (3, BuildMethod.RECURRENCE, BuildMethod.EXPLICIT, False)
     expected = "first difference at x^1: recurrence gives -4, explicit gives 5"
-    assert report.detail == expected
+    assert report.failure == (3, BuildMethod.RECURRENCE, BuildMethod.EXPLICIT, False, expected)
     assert report.summary().endswith(expected)
     failed = [row for row in suite_cross(5) if not row.passed]
     assert [(row.check, row.n, row.detail) for row in failed] == [
@@ -381,9 +396,9 @@ def test_cross_validation_names_a_wrong_route_that_is_not_first(monkeypatch):
     key = (SequenceKind.ALPHA, BuildMethod.HYPERGEOMETRIC)
     monkeypatch.setitem(fam._MEMBERS, key, wrong_alpha)
     report = cross_validate(SequenceKind.ALPHA, 6)
-    assert report.failure == (4, BuildMethod.RECURRENCE, BuildMethod.HYPERGEOMETRIC, False)
     expected = "first difference at x^0: recurrence gives 1, hypergeometric gives 2"
-    assert report.detail == expected
+    failure = (4, BuildMethod.RECURRENCE, BuildMethod.HYPERGEOMETRIC, False, expected)
+    assert report.failure == failure
     assert "between recurrence and hypergeometric" in report.summary()
 
 
@@ -425,13 +440,14 @@ def test_p_is_factorial_times_reflected_beta():
 
 
 def test_interchange_identities():
+    # alpha by its explicit sums: the default alpha is beta_n - x beta_{n-1}
     x = Polynomial.x()
     shell = Polynomial((1, 0, 1))
     for n in range(1, 40):
-        alpha_n = build(SequenceKind.ALPHA, n)
+        alpha_n = build(SequenceKind.ALPHA, n, BuildMethod.EXPLICIT)
         beta_n = build(SequenceKind.BETA, n)
         beta_prev = build(SequenceKind.BETA, n - 1)
-        alpha_prev = build(SequenceKind.ALPHA, n - 1)
+        alpha_prev = build(SequenceKind.ALPHA, n - 1, BuildMethod.EXPLICIT)
         assert alpha_n == beta_n - x * beta_prev
         assert beta_n == x * shell * alpha_prev - Polynomial((-1, 0, 1)) * alpha_n
 
