@@ -14,6 +14,7 @@ from arctanpoly import (
     verify_egf,
     verify_ogf,
 )
+from arctanpoly.families import SUPPORTED_METHODS
 
 print("=" * 72)
 print("FAMILY TABLES")
@@ -36,10 +37,9 @@ the hypergeometric sum steps from term to term by the integer 2F1 term ratio.
 """)
 n_show = 7
 for method in BuildMethod:
-    try:
-        p = build(SequenceKind.BETA, n_show, method)
-    except Exception:
+    if method not in SUPPORTED_METHODS[SequenceKind.BETA]:
         continue
+    p = build(SequenceKind.BETA, n_show, method)
     print(f"  beta_{n_show} via {method.value:<22s} {p.pretty()}")
 
 print()

@@ -345,9 +345,9 @@ def suite_connections(max_n: int) -> list[CheckRow]:
 
 def run_suite(name: str, max_n: int) -> list[CheckRow]:
     # both bounds before any suite runs: cross builds the monic-bernoulli
-    # members up to max-n, and identities grows as about max-n^3 (in
-    # process on a shared 2-vCPU host: 0.22-0.28 s at max-n 200, 2.1 s at
-    # 400, about 0.1 s and 1.75 s of it the Turan rows' products at one point)
+    # members up to max-n, and both it and identities grow as about max-n^3
+    # (CPU in process on a shared 2-vCPU host: cross 0.11 s at max-n 200 and
+    # 1.1 s at 400, identities 0.2 s and 2.0 s)
     if max_n < 0:
         raise ValueError(f"max-n must be non-negative, got {max_n}")
     if max_n > MAX_MONIC_BERNOULLI_DEGREE:

@@ -100,10 +100,10 @@ SINGLE_MEMBER_METHOD: dict[SequenceKind, BuildMethod] = {
 
 # Largest member the Bernoulli-weighted monic routes build.  Step n sums
 # about n/2 earlier members with rational weights, so the prefix to n costs
-# about n^3 bigint operations: at 400, alpha and pi take about 2 s each on
-# a 2-vCPU host, and ``verify --suite cross --max-n 400`` about 4.7 s, while
-# alpha at 1200 runs for minutes.  The three-term recurrence builds the same
-# members in quadratic time.
+# about n^3 bigint operations: at 400, alpha takes about 0.4 s and pi about
+# 0.5 s of CPU on a shared 2-vCPU host, and ``verify --suite cross --max-n
+# 400`` about 1.2 s as a process, while alpha at 1200 runs for minutes.  The
+# three-term recurrence builds the same members in quadratic time.
 MAX_MONIC_BERNOULLI_DEGREE = 400
 
 
@@ -179,10 +179,38 @@ def bracket(n: int, j: int) -> Fraction:
     return Fraction(2 ** (j + 1) * comb(n, j) * abs(b.numerator), (j + 1) * b.denominator)
 
 
-# The Bernoulli routes hold this bracket object (here as a default argument,
-# for pi in its _ROUTES entry), so rebinding the module attribute leaves them.
-def _alpha_ze_coeff(n: int, j: int, bracket=bracket) -> Fraction:
-    return (2 ** (j + 1) - 1) * bracket(n, j)
+def _weights(n: int, alpha: bool) -> list[tuple[int, int]]:
+    """The weights of step n of a monic Bernoulli route, for odd j = 1, 3, ...
+    <= n, as reduced (numerator, denominator) pairs.
+
+    pi's weight is bracket(n, j) = 2^(j+1) C(n, j) |B_(j+1)| / ((j+1) den),
+    with den the denominator of B_(j+1); alpha's is (2^(j+1) - 1) times it.
+    C(n, j) steps by its term ratio, and one gcd against the small
+    (j+1) den reduces each pair, which is the pair ``Fraction`` would hold.
+    The even j carry B_(odd >= 3) = 0 and have no weight.  ``bernoulli`` is
+    read through this module, so rebinding it here reaches the routes.
+    """
+    rows = []
+    c = n  # C(n, j)
+    for j in range(1, n + 1, 2):
+        b = bernoulli(j + 1)
+        p = 1 << (j + 1)
+        num = p * c * abs(b.numerator)
+        if alpha:
+            num *= p - 1
+        den = (j + 1) * b.denominator
+        g = gcd(num, den)
+        rows.append((num // g, den // g))
+        c = c * (n - j) * (n - j - 1) // ((j + 1) * (j + 2))
+    return rows
+
+
+def _pi_weights(n: int) -> list[tuple[int, int]]:
+    return _weights(n, False)
+
+
+def _alpha_weights(n: int) -> list[tuple[int, int]]:
+    return _weights(n, True)
 
 
 def _alpha_interchange(n: int) -> list:
@@ -267,31 +295,35 @@ def _p_derivative():
         cur = _radd_scaled(nxt, [0] + cur, -2 * (n + 1))
 
 
-def _monic_bernoulli(coeff: Callable[[int, int], Fraction]):
-    """Members of the monic recurrence p_{n+1} = x p_n - sum_j coeff(n, j) p_{n-j}.
+def _monic_bernoulli(weights: Callable[[int], list[tuple[int, int]]]):
+    """Members of the monic recurrence p_{n+1} = x p_n - sum_j w(n, j) p_{n-j}.
 
-    Members are kept fraction-free, as (numerators, denominator).  A step
-    scales every term to the lcm of its denominators, accumulates in ints and
-    divides the content gcd out once; only odd offsets j contribute, since
-    the even ones carry B_{odd>=3} = 0.
+    ``weights(n)`` gives w(n, j) for the odd j <= n as reduced (numerator,
+    denominator) pairs; the even offsets carry B_{odd>=3} = 0 and have none.
+    Members are kept fraction-free, as (half form, denominator): p_n has the
+    parity of n, and so has x p_n in p_{n+1}; with j odd, p_{n-j} has that
+    parity too, and its entry k lands on entry k + (j+1)/2 of p_{n+1}'s half
+    form.  A step scales every term to the lcm of its denominators,
+    accumulates in ints and divides the content gcd out once.
     """
     forms = [([1], 1)]
     for n in count():
         cur, cur_den = forms[n]
-        yield _wrap(cur if cur_den == 1 else [Fraction(v, cur_den) for v in cur])
+        yield _wrap(_spread(cur if cur_den == 1 else [Fraction(v, cur_den) for v in cur], n))
         terms = []
         den = cur_den
-        for j in range(1, n + 1, 2):
-            c = coeff(n, j)
-            nums, nums_den = forms[n - j]
-            term_den = c.denominator * nums_den
-            terms.append((c.numerator, term_den, nums))
+        for j, (num, w_den) in enumerate(weights(n)):
+            nums, nums_den = forms[n - 2 * j - 1]
+            term_den = w_den * nums_den
+            terms.append((num, term_den, nums, j + 1))
             den = lcm(den, term_den)
         scale = den // cur_den
-        out = [0] + [scale * v for v in cur]
-        for num, term_den, nums in terms:
+        # p_{n+1} has (n+1)//2 + 1 entries: one more than x p_n for odd n
+        out = [scale * v for v in cur] + [0] * (n % 2)
+        for num, term_den, nums, offset in terms:
             factor = num * (den // term_den)
-            out = _radd_scaled(out, nums, -factor)
+            for i, v in enumerate(nums, offset):
+                out[i] -= factor * v
         g = gcd(den, *out)
         if g != 1:
             out = [v // g for v in out]
@@ -311,8 +343,8 @@ _POWER_ROUTES: dict[tuple[SequenceKind, BuildMethod], tuple] = {
 # These yield polynomials into the prefix cache.
 _ROUTES: dict[tuple[SequenceKind, BuildMethod], tuple] = {
     (SequenceKind.BETA, BuildMethod.RECURRENCE): (_three_term, [1], [2]),
-    (SequenceKind.MONIC_PI, BuildMethod.MONIC_BERNOULLI): (_monic_bernoulli, bracket),
-    (SequenceKind.ALPHA, BuildMethod.MONIC_BERNOULLI): (_monic_bernoulli, _alpha_ze_coeff),
+    (SequenceKind.MONIC_PI, BuildMethod.MONIC_BERNOULLI): (_monic_bernoulli, _pi_weights),
+    (SequenceKind.ALPHA, BuildMethod.MONIC_BERNOULLI): (_monic_bernoulli, _alpha_weights),
     (SequenceKind.P, BuildMethod.DERIVATIVE_RECURRENCE): (_p_derivative,),
 }
 

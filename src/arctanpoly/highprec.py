@@ -311,7 +311,16 @@ def cot_node(k: int, m: int):
         return mpmath.mpf(0)
     if 2 * k > m:
         return -cot_node(m - k, m)
-    return mpmath.cot(mpmath.pi * k / m)
+    # mpmath.cot(mpmath.pi * k / m) step by step on raw values: pi * k and
+    # then / m at the working precision, 1 / tan at 10 bits more, as cot's
+    # wrapper does, and the result rounded back to the working precision
+    libmp = mpmath.libmp
+    prec, rnd = mpmath.mp.prec, libmp.round_nearest
+    x = libmp.mpf_div(
+        libmp.mpf_mul_int(libmp.mpf_pi(prec, rnd), k, prec, rnd), libmp.from_int(m), prec, rnd
+    )
+    cot = libmp.mpf_div(libmp.fone, libmp.mpf_tan(x, prec + 10, rnd), prec + 10, rnd)
+    return mpmath.mp.make_mpf(libmp.mpf_pos(cot, prec, rnd))
 
 
 def atan_reference(x: Fraction, precision_bits: int):
@@ -321,13 +330,25 @@ def atan_reference(x: Fraction, precision_bits: int):
 
 
 def certifies(residual, slope) -> bool:
-    """The root test: residual <= ROOT_TOLERANCE * max(1, slope) and slope > ROOT_TOLERANCE.
+    """The root test: |residual| <= ROOT_TOLERANCE * max(1, |slope|) and |slope| > ROOT_TOLERANCE.
 
-    Family coefficients grow fast with the degree, so the residual at a
-    finite-precision approximation of a true root scales with the local
-    slope, and only the slope-relative residual is meaningful.
+    ``residual`` and ``slope`` are mpf values, p(r) and p'(r) or their
+    absolute values.  Family coefficients grow fast with the degree, so the
+    residual at a finite-precision approximation of a true root scales with
+    the local slope, and only the slope-relative residual is meaningful.
+    The test runs on the raw values with the operations of the mpf
+    expression: the float tolerance converts exactly, and its product with a
+    slope above 1 is rounded to the working precision.
     """
-    return bool(residual <= ROOT_TOLERANCE * max(1, slope) and slope > ROOT_TOLERANCE)
+    mpmath = _mpmath or _load()
+    libmp = mpmath.libmp
+    tol = libmp.from_float(ROOT_TOLERANCE)  # exact, converted once
+    r, s = libmp.mpf_abs(residual._mpf_), libmp.mpf_abs(slope._mpf_)
+    if libmp.mpf_gt(s, libmp.fone):
+        bound = libmp.mpf_mul(tol, s, mpmath.mp.prec, libmp.round_nearest)
+    else:
+        bound = tol
+    return libmp.mpf_le(r, bound) and libmp.mpf_gt(s, tol)
 
 
 @dataclass(frozen=True)
@@ -351,6 +372,12 @@ def certify_simple_root(poly, value, derivative) -> RootCheck:
     by ``prepare`` at the current precision; those skip the coefficient
     conversion and give the same certificate.
     """
-    residual = abs(eval_poly(poly, value))
-    slope = abs(eval_poly(derivative, value))
-    return RootCheck(float(residual), float(slope), certifies(residual, slope))
+    at_root = eval_poly(poly, value)
+    slope_at_root = eval_poly(derivative, value)
+    libmp = (_mpmath or _load()).libmp
+    # float(abs(x)) of an mpf x, with no mpf made in between
+    return RootCheck(
+        libmp.to_float(libmp.mpf_abs(at_root._mpf_), rnd=libmp.round_nearest),
+        libmp.to_float(libmp.mpf_abs(slope_at_root._mpf_), rnd=libmp.round_nearest),
+        certifies(at_root, slope_at_root),
+    )

@@ -64,7 +64,10 @@ def test_criterion_02_reference_tables():
 def test_criterion_03_exact_identity_suite():
     n_max = 200
     betas = ap.build_sequence(SequenceKind.BETA, n_max + 1)
-    alphas = ap.build_sequence(SequenceKind.ALPHA, n_max + 1)
+    # alpha's default route is beta_n - x beta_(n-1) on beta's own members,
+    # so the interchange lines below would hold by construction; the
+    # explicit sums make them evidence
+    alphas = ap.build_sequence(SequenceKind.ALPHA, n_max + 1, BuildMethod.EXPLICIT)
     ps = ap.build_sequence(SequenceKind.P, n_max, BuildMethod.DERIVATIVE_RECURRENCE)
     x = Polynomial.x()
     shell = Polynomial((1, 0, 1))

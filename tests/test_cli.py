@@ -1,6 +1,7 @@
 """Command-line behavior: output shapes, exit codes, round trips."""
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import re
@@ -783,3 +784,32 @@ def test_oversized_rational_literal_exits_2(capsys):
     assert out == ""
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+# SHA-256 of whole printed outputs: the verify rows, two root sets and both
+# Bernoulli routes.  A change meant only to make the library faster must
+# print these bytes.
+PINNED_OUTPUTS = {
+    ("verify", "--suite", "all", "--max-n", "150", "--format", "csv"): (
+        "ff92bdf0a889705dfd9a5435e7316579820c9291ecda9f67cc1a9fae38e741f3"
+    ),
+    ("roots", "--kind", "beta", "--n", "120"): (
+        "920a0e7395a3d945d3d1765108629d08dcdd1dbe87ab38183e03a84e97333011"
+    ),
+    ("roots", "--kind", "alpha", "--n", "57"): (
+        "18ec6a90b3b14db8f73d41ad5b36101495ff79d8707a8917c00f4a2bddcbb9c6"
+    ),
+    ("poly", "--kind", "alpha", "--n", "150", "--method", "monic-bernoulli", "--format", "json"): (
+        "eb63cfedfa08306d8417046bcfaf0637f1386b5f056301f2408eb070fb5290aa"
+    ),
+    ("poly", "--kind", "pi", "--n", "150", "--method", "monic-bernoulli", "--format", "json"): (
+        "4dd3b83a8db9df67b1fe972a392192462b6a779631d89e2d052a23fc17fc91d4"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_OUTPUTS), ids=" ".join)
+def test_printed_output_is_byte_identical_to_its_pinned_digest(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_OUTPUTS[argv]

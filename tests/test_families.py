@@ -750,6 +750,44 @@ def test_bracket_matches_the_three_factor_product():
             assert got == expected and type(got) is Fraction, (n, j)
 
 
+def test_weight_rows_are_the_reduced_brackets():
+    # step n of pi's Bernoulli route weighs p_(n-j) by bracket(n, j), alpha's
+    # by (2^(j+1) - 1) bracket(n, j), for the odd j <= n; comparing the pairs
+    # with the Fractions also checks that each pair is reduced
+    for n in range(201):
+        odd = range(1, n + 1, 2)
+        pi_rows, alpha_rows = fam._pi_weights(n), fam._alpha_weights(n)
+        assert len(pi_rows) == len(alpha_rows) == len(odd), n
+        for j, pi_row, alpha_row in zip(odd, pi_rows, alpha_rows):
+            b = fam.bracket(n, j)
+            a = (2 ** (j + 1) - 1) * b
+            assert pi_row == (b.numerator, b.denominator), (n, j)
+            assert alpha_row == (a.numerator, a.denominator), (n, j)
+            assert all(type(v) is int for v in (*pi_row, *alpha_row)), (n, j)
+
+
+@pytest.mark.parametrize(
+    "kind, weights",
+    [(SequenceKind.MONIC_PI, fam._pi_weights), (SequenceKind.ALPHA, fam._alpha_weights)],
+)
+def test_a_wrong_weight_fails_its_familys_bernoulli_rows(monkeypatch, kind, weights):
+    from arctanpoly.checks import run_suite
+
+    def nudged(n):
+        rows = weights(n)
+        if n == 9:
+            num, den = rows[1]  # j = 3
+            rows[1] = (num + 1, den)
+        return rows
+
+    key = (kind, BuildMethod.MONIC_BERNOULLI)
+    monkeypatch.setitem(fam._ROUTES, key, (fam._monic_bernoulli, nudged))
+    monkeypatch.setattr(fam, "_prefix_cache", {})
+    failing = [(row.check, row.n) for row in run_suite("cross", 20) if not row.passed]
+    # step 9 builds member 10, and every later member reads it
+    assert failing == [(f"{kind.value}[recurrence==monic-bernoulli]", n) for n in range(10, 21)]
+
+
 @pytest.mark.parametrize(
     "kind, method",
     [

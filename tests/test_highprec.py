@@ -193,3 +193,79 @@ def test_eval_poly_is_odd_or_even_with_its_parity_polynomial():
                 sign = -1 if p.degree % 2 else 1
                 for t in points:
                     assert eval_poly(p, -t)._mpf_ == (sign * eval_poly(p, t))._mpf_, (precision, t)
+
+
+# The root test, the cot nodes and the root sets run on raw libmp values;
+# these tests compare them with the mpf expressions they replaced.
+
+
+@pytest.mark.parametrize("precision", [128, 200, 600])
+def test_cot_node_is_mpmaths_cot_bit_for_bit(precision):
+    # the upper nodes are mirrors and the middle one is an exact zero; every
+    # other node is the closed form through mpmath's own operators
+    with workprec(precision):
+        for m in range(3, 401):
+            for k in range(1, (m + 1) // 2):
+                expected = mpmath.cot(mpmath.pi * k / m)
+                assert highprec.cot_node(k, m)._mpf_ == expected._mpf_, (k, m)
+
+
+def _mpf_certifies(residual, slope):
+    return bool(residual <= ROOT_TOLERANCE * max(1, slope) and slope > ROOT_TOLERANCE)
+
+
+@pytest.mark.parametrize("precision", [53, 128, 600])
+def test_certifies_is_the_mpf_expression(precision):
+    with workprec(precision):
+        one = mpmath.mpf(1)
+        slopes = [
+            mpmath.mpf(0),
+            mpmath.mpf(ROOT_TOLERANCE),
+            mpmath.mpf(ROOT_TOLERANCE) * (1 + mpmath.eps),
+            one / 3,
+            one,
+            one + mpmath.eps,
+            mpmath.mpf(7) / 3,
+            mpmath.mpf(3) * mpmath.mpf(2) ** 2000,  # past the range of a double
+        ]
+        seen = set()
+        for slope in slopes:
+            bound = mpmath.mpf(ROOT_TOLERANCE * max(1, slope))  # a float when slope <= 1
+            residuals = [mpmath.mpf(0), bound * (1 - mpmath.eps), bound, bound * (1 + mpmath.eps)]
+            for residual in residuals + [bound * 2**20, bound / 2**20]:
+                expected = _mpf_certifies(residual, slope)
+                seen.add(expected)
+                assert highprec.certifies(residual, slope) is expected, (residual, slope)
+                # the signed values give the test on their absolute values
+                assert highprec.certifies(-residual, -slope) is expected, (residual, slope)
+        assert seen == {True, False}
+
+
+def _mpf_root_set(kind, n):
+    """The records of roots(kind, n) through mpf operators: each node by
+    mpmath.cot and its certificate by abs, float and the mpf expression."""
+    p = build(kind, n)
+    records = []
+    with workprec(node_precision(n)):
+        p_mpf, dp_mpf = highprec.prepare(p), highprec.prepare(p.differentiate())
+        for k in range(1, n + 1):
+            num, den = (k, n + 1) if kind is SequenceKind.BETA else (2 * k - 1, 2 * n)
+            if 2 * k > n + 1:
+                value, check = -records[n - k][2], records[n - k][3]
+            else:
+                value = mpmath.mpf(0) if 2 * num == den else mpmath.cot(mpmath.pi * num / den)
+                residual = abs(eval_poly(p_mpf, value))
+                slope = abs(eval_poly(dp_mpf, value))
+                check = (float(residual), float(slope), _mpf_certifies(residual, slope))
+            records.append((k, num, value, check))
+    return [(k, value._mpf_, check) for k, _, value, check in records]
+
+
+@pytest.mark.parametrize("kind", [SequenceKind.BETA, SequenceKind.ALPHA])
+def test_root_sets_are_those_of_the_mpf_operators(kind):
+    for n in [*range(1, 131), 400, 1000]:
+        got = [
+            (r.index, r.value._mpf_, (r.check.residual, r.check.slope, r.check.certified))
+            for r in roots(kind, n).roots
+        ]
+        assert got == _mpf_root_set(kind, n), n
