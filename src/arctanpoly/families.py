@@ -300,11 +300,14 @@ def _monic_bernoulli(weights: Callable[[int], list[tuple[int, int]]]):
 
     ``weights(n)`` gives w(n, j) for the odd j <= n as reduced (numerator,
     denominator) pairs; the even offsets carry B_{odd>=3} = 0 and have none.
-    Members are kept fraction-free, as (half form, denominator): p_n has the
-    parity of n, and so has x p_n in p_{n+1}; with j odd, p_{n-j} has that
-    parity too, and its entry k lands on entry k + (j+1)/2 of p_{n+1}'s half
-    form.  A step scales every term to the lcm of its denominators,
-    accumulates in ints and divides the content gcd out once.
+    Members are kept fraction-free, as (half form, denominator).  p_n has the
+    parity of n, so x p_n and, with j odd, p_{n-j} have the parity of
+    p_{n+1}: entry k of x p_n is entry k of p_{n+1}'s half form, and entry k
+    of p_{n-j} lands on entry k + (j+1)/2.  A step scales every term to the lcm of its denominators,
+    accumulates in ints and divides the content gcd out once.  Step n adds
+    about n/2 members of about n/4 entries each, so the prefix to n costs
+    about n^3/24 bigint products; full coefficient lists would walk as many
+    zero entries besides.
     """
     forms = [([1], 1)]
     for n in count():

@@ -196,7 +196,7 @@ def test_eval_poly_is_odd_or_even_with_its_parity_polynomial():
 
 
 # The root test, the cot nodes and the root sets run on raw libmp values;
-# these tests compare them with the mpf expressions they replaced.
+# these tests compare them with the same computations through mpf operators.
 
 
 @pytest.mark.parametrize("precision", [128, 200, 600])
@@ -251,14 +251,14 @@ def _mpf_root_set(kind, n):
         for k in range(1, n + 1):
             num, den = (k, n + 1) if kind is SequenceKind.BETA else (2 * k - 1, 2 * n)
             if 2 * k > n + 1:
-                value, check = -records[n - k][2], records[n - k][3]
+                value, check = -records[n - k][1], records[n - k][2]
             else:
                 value = mpmath.mpf(0) if 2 * num == den else mpmath.cot(mpmath.pi * num / den)
                 residual = abs(eval_poly(p_mpf, value))
                 slope = abs(eval_poly(dp_mpf, value))
                 check = (float(residual), float(slope), _mpf_certifies(residual, slope))
-            records.append((k, num, value, check))
-    return [(k, value._mpf_, check) for k, _, value, check in records]
+            records.append((k, value, check))
+    return [(k, value._mpf_, check) for k, value, check in records]
 
 
 @pytest.mark.parametrize("kind", [SequenceKind.BETA, SequenceKind.ALPHA])
